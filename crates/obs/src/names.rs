@@ -15,6 +15,9 @@ pub const QUERY_PARALLEL_DEPLOYS: &str = "query/parallel/deploys";
 pub const QUERY_PARALLEL_LATENCY: &str = "query/parallel/latency";
 /// Records scanned by parallel scan tasks (across all partitions).
 pub const QUERY_SCAN_ROWS: &str = "query/scan/rows";
+/// Partition scans bounded by a primary-key range (one per partition
+/// snapshot a range scan seeked), across every executor.
+pub const QUERY_SCAN_PK_RANGE: &str = "query/scan/pk_range";
 /// Rows emitted into exchange connectors (scan → group shuffles).
 pub const QUERY_EXCHANGE_ROWS: &str = "query/exchange/rows";
 /// Rows received by the final merge stage.

@@ -19,6 +19,7 @@ use std::sync::Arc;
 use idea_adm::value::Circle;
 use idea_adm::Value;
 use idea_storage::dataset::DatasetSnapshot;
+use idea_storage::KeyRange;
 use parking_lot::RwLock;
 
 use crate::ast::{Expr, FromSource, SelectBlock, SelectClause, SelectItem};
@@ -167,6 +168,8 @@ pub struct ExecStats {
     pub materializations: u64,
     pub index_probes: u64,
     pub rows_scanned: u64,
+    /// Partition scans bounded by a primary-key range.
+    pub pk_range_scans: u64,
     pub blocks_evaluated: u64,
     pub udf_calls: u64,
     pub native_inits: u64,
@@ -313,6 +316,24 @@ impl ExecContext {
         let snaps = Arc::new(ds.snapshot_all());
         self.snapshots.insert(dataset.to_owned(), snaps.clone());
         Ok(snaps)
+    }
+
+    /// The key range a scan of `partitions` partition snapshots reads:
+    /// the plan's primary-key bound — counted in
+    /// [`ExecStats::pk_range_scans`] and `query/scan/pk_range` — or every
+    /// key when the plan has none.
+    pub(crate) fn scan_range<'r>(
+        &mut self,
+        bound: Option<&'r KeyRange>,
+        partitions: usize,
+    ) -> &'r KeyRange {
+        static FULL: KeyRange = KeyRange::all();
+        let Some(range) = bound else { return &FULL };
+        self.stats.pk_range_scans += partitions as u64;
+        if let Some(m) = &self.metrics {
+            m.counter(idea_obs::names::QUERY_SCAN_PK_RANGE).add(partitions as u64);
+        }
+        range
     }
 
     pub(crate) fn cached_uncorrelated(&self, block_id: u32) -> Option<Arc<Vec<Value>>> {
@@ -635,9 +656,10 @@ fn materialize(
         return Err(QueryError::Eval("materialize requires a dataset".into()));
     };
     let snaps = ctx.snapshots_for(ds_name)?;
+    let range = ctx.scan_range(fp.key_range.as_ref(), snaps.len());
     let mut rows = Vec::new();
     for s in snaps.iter() {
-        rows.extend(s.iter());
+        rows.extend(s.iter_range(range));
     }
     ctx.stats.rows_scanned += rows.len() as u64;
     ctx.stats.materializations += 1;

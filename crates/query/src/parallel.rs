@@ -288,7 +288,8 @@ impl ScanOp {
         // sequential materialize path uses), residuals see the full row.
         let mut fslot = BindSlot::new(&Env::new(), item.alias.clone());
         let mut rows = Vec::new();
-        'rec: for rec in snap.iter() {
+        let range = xctx.scan_range(fp0.key_range.as_ref(), 1);
+        'rec: for rec in snap.iter_range(range) {
             xctx.stats.rows_scanned += 1;
             let rec = rec.clone();
             if !fp0.self_filter.is_empty() {

@@ -19,14 +19,21 @@
 //! * **materialize** (fallback): snapshot the dataset once per context
 //!   and filter per record — the plan shape of similarity joins (Fuzzy
 //!   Suspects) and region-containment joins that a point R-tree cannot
-//!   serve.
+//!   serve. When self-filter conjuncts bound the primary key
+//!   (`t.id >= 1000 AND t.id < 1100`), the scan carries that
+//!   [`KeyRange`] and seeks the LSM's sorted runs instead of reading the
+//!   whole dataset — the primary index's range access, unless
+//!   `/*+ noindex */` forbids it.
 //!
 //! Each WHERE conjunct is assigned to exactly one place: a build-side
 //! filter, a probe key, a per-item residual, or the post-LET filter.
 
 use std::collections::HashSet;
+use std::ops::Bound;
 
+use idea_adm::{TypeTag, Value};
 use idea_storage::index::IndexKind;
+use idea_storage::KeyRange;
 
 use crate::ast::*;
 use crate::catalog::Catalog;
@@ -70,6 +77,11 @@ pub struct FromPlan {
     pub self_filter: Vec<Expr>,
     /// Conjuncts applied in the join loop once this item is bound.
     pub residual: Vec<Expr>,
+    /// Primary-key bound for a [`AccessPath::Materialize`] dataset scan,
+    /// derived from `self_filter` (which keeps every conjunct, so the
+    /// bound only skips rows the filter would reject). `None` scans the
+    /// whole dataset.
+    pub key_range: Option<KeyRange>,
 }
 
 /// Plan for a whole block.
@@ -401,7 +413,13 @@ pub fn plan_block(block: &SelectBlock, catalog: &Catalog) -> Result<BlockPlan> {
                 AccessPath::Iterate
             }
         };
-        from_order.push(FromPlan { item_idx: idx, path, self_filter, residual });
+        let key_range = match (&path, &item.source) {
+            (AccessPath::Materialize, FromSource::Name(ds_name)) if hint != Some("noindex") => {
+                pk_range(catalog, ds_name, alias, &self_filter)
+            }
+            _ => None,
+        };
+        from_order.push(FromPlan { item_idx: idx, path, self_filter, residual, key_range });
     }
 
     let has_aggregates = match &block.select {
@@ -487,6 +505,123 @@ fn rebuild_spatial(alias: &str, field: &str, region: Expr) -> Expr {
         point = Expr::Field(Box::new(point), part.to_owned());
     }
     Expr::Call { name: "spatial_intersect".into(), args: vec![point, region] }
+}
+
+/// The two key type classes a bound may be derived for. Keys and
+/// literals compare under `Value::cmp` across classes too, but a bound
+/// is only derived where the literal is the kind of value the key is.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum KeyClass {
+    Numeric,
+    String,
+}
+
+fn literal_class(v: &Value) -> Option<KeyClass> {
+    match v {
+        Value::Int(_) => Some(KeyClass::Numeric),
+        Value::Double(d) if d.is_finite() => Some(KeyClass::Numeric),
+        Value::Str(_) => Some(KeyClass::String),
+        _ => None,
+    }
+}
+
+/// A literal operand: `Literal`, or unary minus over a numeric literal
+/// (the parser reads `-5` as `Neg(5)`). Parameters never count.
+fn literal_value(e: &Expr) -> Option<Value> {
+    match e {
+        Expr::Literal(v) => Some(v.clone()),
+        Expr::Neg(inner) => match inner.as_ref() {
+            Expr::Literal(Value::Int(i)) => i.checked_neg().map(Value::Int),
+            Expr::Literal(Value::Double(d)) => Some(Value::Double(-d)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Whether evaluating `e` over a bound alias can never raise an error:
+/// comparisons of field paths and literals, and AND/OR/NOT over those
+/// (comparisons yield booleans or unknowns, which the connectives
+/// accept).
+fn infallible_predicate(e: &Expr) -> bool {
+    let operand = |x: &Expr| literal_value(x).is_some() || is_path(x);
+    match e {
+        Expr::Binary(
+            BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge,
+            a,
+            b,
+        ) => operand(a) && operand(b),
+        Expr::Binary(BinOp::And | BinOp::Or, a, b) => {
+            infallible_predicate(a) && infallible_predicate(b)
+        }
+        Expr::Not(a) => infallible_predicate(a),
+        _ => false,
+    }
+}
+
+fn is_path(e: &Expr) -> bool {
+    match e {
+        Expr::Ident(_) => true,
+        Expr::Field(base, _) => is_path(base),
+        _ => false,
+    }
+}
+
+/// `alias.<pk> op literal` (either side, op ∈ `= < <= > >=`) as the key
+/// range it admits, when the literal's class is `class`.
+fn pk_bound(c: &Expr, alias: &str, pk: &str, class: KeyClass) -> Option<KeyRange> {
+    let Expr::Binary(op, a, b) = c else { return None };
+    let (op, lit) = if field_path_on(a, alias).as_deref() == Some(pk) {
+        (*op, literal_value(b)?)
+    } else if field_path_on(b, alias).as_deref() == Some(pk) {
+        (crate::vector::flip(*op), literal_value(a)?)
+    } else {
+        return None;
+    };
+    if literal_class(&lit)? != class {
+        return None;
+    }
+    Some(match op {
+        BinOp::Eq => KeyRange::point(lit),
+        BinOp::Lt => KeyRange::new(Bound::Unbounded, Bound::Excluded(lit)),
+        BinOp::Le => KeyRange::new(Bound::Unbounded, Bound::Included(lit)),
+        BinOp::Gt => KeyRange::new(Bound::Excluded(lit), Bound::Unbounded),
+        BinOp::Ge => KeyRange::new(Bound::Included(lit), Bound::Unbounded),
+        _ => return None,
+    })
+}
+
+/// The primary-key range a `Materialize` scan of `ds_name` may be
+/// bounded by: the intersection of every bounding conjunct in the
+/// *leading* run of infallible self-filter conjuncts. Stopping at the
+/// first conjunct that could raise an error keeps errors intact: the
+/// filter evaluates conjuncts in order, so a row outside the range is
+/// rejected by a bounding conjunct before any later conjunct sees it.
+/// `None` when the key's declared type is neither numeric nor string, or
+/// nothing bounds it (OR, non-key fields and parameters never do).
+fn pk_range(
+    catalog: &Catalog,
+    ds_name: &str,
+    alias: &str,
+    self_filter: &[Expr],
+) -> Option<KeyRange> {
+    let ds = catalog.dataset(ds_name).ok()?;
+    let part = &ds.partitions()[0];
+    let pk = part.primary_key_field().to_string();
+    let class = match part.datatype().fields.iter().find(|f| f.name == pk)?.tag {
+        TypeTag::Int64 | TypeTag::Double => KeyClass::Numeric,
+        TypeTag::String => KeyClass::String,
+        _ => return None,
+    };
+    let mut range: Option<KeyRange> = None;
+    for c in self_filter {
+        match pk_bound(c, alias, &pk, class) {
+            Some(r) => range = Some(range.unwrap_or_default().intersect(r)),
+            None if infallible_predicate(c) => {}
+            None => break,
+        }
+    }
+    range
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -36,6 +36,7 @@ use crate::ast::{FromSource, SelectBlock};
 use crate::error::QueryError;
 use crate::exec::{
     apply_lets_and_post_filters, eval_limit, join_from, project, BindSlot, Env, ExecContext,
+    ExecStats,
 };
 use crate::expr::eval_expr;
 use crate::parallel::ParallelStream;
@@ -46,7 +47,8 @@ use crate::Result;
 pub const DEFAULT_BATCH_SIZE: usize = 256;
 
 /// Whether `block` can be evaluated lazily by [`ScanStream`]: a single
-/// full-scan FROM item over a catalog dataset, with no operation that
+/// scan FROM item (whole or primary-key bounded) over a catalog
+/// dataset, with no operation that
 /// needs the whole result set before the first row (ORDER BY, GROUP BY,
 /// aggregates, DISTINCT). WHERE, LETs and LIMIT are fine.
 pub(crate) fn scan_streamable(block: &SelectBlock, plan: &BlockPlan) -> bool {
@@ -115,7 +117,8 @@ impl ScanStream {
         loop {
             if self.pending.is_empty() {
                 let part = self.parts.pop()?;
-                self.pending = part.iter().collect();
+                let range = self.ctx.scan_range(self.plan.from_order[0].key_range.as_ref(), 1);
+                self.pending = part.iter_range(range).collect();
                 self.pending.reverse();
                 continue;
             }
@@ -274,6 +277,17 @@ impl RowStream {
     /// Rows handed to the consumer so far.
     pub fn rows_emitted(&self) -> usize {
         self.rows_emitted
+    }
+
+    /// Execution counters of a lazy sequential scan so far (`None` for
+    /// materialized and parallel sources, whose statements report through
+    /// [`Session::last_stats`](crate::Session::last_stats) and the
+    /// cluster's metrics registry).
+    pub fn exec_stats(&self) -> Option<ExecStats> {
+        match &self.source {
+            Source::Scan(s) => Some(s.ctx.stats),
+            _ => None,
+        }
     }
 
     /// The next batch of rows, or `None` at end-of-stream.

@@ -34,7 +34,7 @@ use std::time::Instant;
 use idea_adm::functions::numeric::{arith, ArithOp};
 use idea_adm::functions::{self};
 use idea_adm::{Object, Value};
-use idea_storage::{PageData, PageField};
+use idea_storage::{KeyRange, PageData, PageField};
 
 use crate::ast::{BinOp, Expr, FromSource, SelectBlock, SelectClause, SelectItem};
 use crate::batch::{
@@ -97,6 +97,8 @@ struct SideSpec {
     /// keys, aggregate arguments) is read over *surviving* rows only
     /// and stays `Lazy`, reading straight from the records.
     eager: Vec<bool>,
+    /// The plan's primary-key bound on this side's scan, if any.
+    key_range: Option<KeyRange>,
 }
 
 /// Compiled hash join (second FROM item, `AccessPath::HashBuild`).
@@ -533,6 +535,7 @@ pub(crate) fn compile(
                     alias: item1.alias.clone(),
                     fields: Vec::new(),
                     eager: Vec::new(),
+                    key_range: None,
                 },
                 self_filter: self_f,
                 build_keys: bk,
@@ -619,6 +622,7 @@ pub(crate) fn compile(
             alias: item0.alias.clone(),
             fields: d_fields,
             eager: d_eager,
+            key_range: fp0.key_range.clone(),
         },
         d_filters,
         join,
@@ -864,7 +868,8 @@ fn eval_scalar<'a>(e: &'a VecExpr, row: RowCtx<'a>, ctx: &'a ExecContext) -> Res
 // ---------------------------------------------------------------------
 // Filter kernels
 
-fn flip(op: BinOp) -> BinOp {
+/// The operator that keeps `a <op> b` true when its sides swap.
+pub(crate) fn flip(op: BinOp) -> BinOp {
     match op {
         BinOp::Lt => BinOp::Gt,
         BinOp::Le => BinOp::Ge,
@@ -1038,11 +1043,16 @@ fn scan_batches(
     needs_rows: bool,
 ) -> Result<(Vec<Batch>, u64)> {
     let snaps = ctx.snapshots_for(&side.ds)?;
+    // A key bound seeks the row-path partitions; single-columnar ones
+    // keep the page path, whose footer min/max skipping already prunes
+    // pages on the same key conjuncts.
+    let row_parts = snaps.iter().filter(|s| s.columnar().is_none()).count();
+    let range = ctx.scan_range(side.key_range.as_ref(), row_parts);
     // Schema inference only matters for row-path partitions; a fully
     // columnar dataset skips the sampling pass entirely.
-    let mut types = if snaps.iter().any(|s| s.columnar().is_none()) {
+    let mut types = if row_parts > 0 {
         let sample: Vec<Arc<Value>> =
-            snaps.iter().flat_map(|s| s.iter()).take(SAMPLE_ROWS).collect();
+            snaps.iter().flat_map(|s| s.iter_range(range)).take(SAMPLE_ROWS).collect();
         let mut types = infer_types(sample.iter().map(|r| r.as_ref()), &side.fields);
         for (t, eager) in types.iter_mut().zip(&side.eager) {
             if !eager {
@@ -1062,7 +1072,7 @@ fn scan_batches(
             n += cn;
             batches.extend(bs);
         } else {
-            for chunk in s.iter_batches(BATCH_ROWS) {
+            for chunk in s.iter_batches_range(range, BATCH_ROWS) {
                 n += chunk.len() as u64;
                 batches.push(build_batch(chunk, &side.fields, &mut types));
             }
@@ -1337,7 +1347,8 @@ pub(crate) fn scan_partition(
         return Ok(out);
     }
 
-    let sample: Vec<Arc<Value>> = snap.iter().take(SAMPLE_ROWS).collect();
+    let range = ctx.scan_range(vp.driver.key_range.as_ref(), 1);
+    let sample: Vec<Arc<Value>> = snap.iter_range(range).take(SAMPLE_ROWS).collect();
     let mut types = infer_types(sample.iter().map(|r| r.as_ref()), &vp.driver.fields);
     drop(sample);
     for (t, eager) in types.iter_mut().zip(&vp.driver.eager) {
@@ -1348,7 +1359,7 @@ pub(crate) fn scan_partition(
 
     let mut out = Vec::new();
     let mut batches = 0u64;
-    for chunk in snap.iter_batches(BATCH_ROWS) {
+    for chunk in snap.iter_batches_range(range, BATCH_ROWS) {
         ctx.stats.rows_scanned += chunk.len() as u64;
         ctx.stats.batch_rows += chunk.len() as u64;
         batches += 1;

@@ -8,7 +8,7 @@ use std::time::Duration;
 use idea_adm::Value;
 use idea_core::{Error, ErrorCode};
 
-use crate::protocol::{frame_error, read_frame, write_frame, Frame};
+use crate::protocol::{frame_error, io_err, read_frame, send_frame, Frame};
 
 /// Summary of one streamed query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,8 +51,10 @@ impl Client {
     }
 
     fn handshake(stream: TcpStream, tenant: &str) -> Result<Client, Error> {
+        // Requests are flushed whole; Nagle would only hold them back.
+        stream.set_nodelay(true).map_err(io_err)?;
         let mut client = Client { stream: BufReader::new(stream) };
-        write_frame(client.stream.get_mut(), &Frame::Hello { tenant: tenant.to_string() })?;
+        send_frame(client.stream.get_ref(), &Frame::Hello { tenant: tenant.to_string() })?;
         match client.read()? {
             Frame::HelloOk => Ok(client),
             Frame::Error { code, message } => Err(frame_error(code, message)),
@@ -83,7 +85,7 @@ impl Client {
         text: &str,
         mut on_batch: impl FnMut(Vec<Value>),
     ) -> Result<QuerySummary, Error> {
-        write_frame(self.stream.get_mut(), &Frame::Query { text: text.to_string() })?;
+        send_frame(self.stream.get_ref(), &Frame::Query { text: text.to_string() })?;
         let mut batches = 0u64;
         loop {
             match self.read()? {

@@ -19,7 +19,7 @@
 //! (rate-limited / overloaded / draining) are ordinary `E` frames whose
 //! code satisfies [`ErrorCode::is_shed`] — the 429-style path.
 
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
 
 use idea_core::{Error, ErrorCode};
 
@@ -57,7 +57,7 @@ impl Frame {
     }
 }
 
-fn io_err(e: std::io::Error) -> Error {
+pub(crate) fn io_err(e: std::io::Error) -> Error {
     Error::new(ErrorCode::Io, format!("socket i/o failed: {e}"))
 }
 
@@ -65,31 +65,45 @@ fn protocol_err(msg: impl Into<String>) -> Error {
     Error::new(ErrorCode::Protocol, msg)
 }
 
-/// Writes one frame. The payload is assembled in memory first so the
-/// length prefix is exact; frames are batch-sized, not result-sized.
+/// Writes one frame: the 5-byte header, then the payload straight from
+/// the frame's own buffers (no intermediate copy). Does **not** flush —
+/// socket writers go through a `BufWriter` flushed once per message
+/// (each client request, each whole server response), so a frame
+/// never leaves as separate small segments for Nagle to hold back.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), Error> {
-    let payload: Vec<u8> = match frame {
-        Frame::Hello { tenant } => tenant.as_bytes().to_vec(),
-        Frame::Query { text } => text.as_bytes().to_vec(),
-        Frame::HelloOk => Vec::new(),
-        Frame::Rows { json } => json.as_bytes().to_vec(),
-        Frame::Done { rows } => rows.to_be_bytes().to_vec(),
+    // Fixed-width payload prefixes: the done count, or the error code.
+    let mut fixed = [0u8; 8];
+    let (prefix, body): (&[u8], &[u8]) = match frame {
+        Frame::Hello { tenant } => (&[], tenant.as_bytes()),
+        Frame::Query { text } => (&[], text.as_bytes()),
+        Frame::HelloOk => (&[], &[]),
+        Frame::Rows { json } => (&[], json.as_bytes()),
+        Frame::Done { rows } => {
+            fixed = rows.to_be_bytes();
+            (&fixed, &[])
+        }
         Frame::Error { code, message } => {
-            let mut p = Vec::with_capacity(2 + message.len());
-            p.extend_from_slice(&code.to_be_bytes());
-            p.extend_from_slice(message.as_bytes());
-            p
+            fixed[..2].copy_from_slice(&code.to_be_bytes());
+            (&fixed[..2], message.as_bytes())
         }
     };
-    if payload.len() > MAX_FRAME {
-        return Err(protocol_err(format!("frame payload too large: {} bytes", payload.len())));
+    let payload_len = prefix.len() + body.len();
+    if payload_len > MAX_FRAME {
+        return Err(protocol_err(format!("frame payload too large: {payload_len} bytes")));
     }
-    let len = (payload.len() + 1) as u32;
-    let mut buf = Vec::with_capacity(5 + payload.len());
-    buf.extend_from_slice(&len.to_be_bytes());
-    buf.push(frame.type_byte());
-    buf.extend_from_slice(&payload);
-    w.write_all(&buf).map_err(io_err)?;
+    let mut header = [0u8; 5];
+    header[..4].copy_from_slice(&((payload_len + 1) as u32).to_be_bytes());
+    header[4] = frame.type_byte();
+    w.write_all(&header).map_err(io_err)?;
+    w.write_all(prefix).map_err(io_err)?;
+    w.write_all(body).map_err(io_err)
+}
+
+/// Sends one frame as one message: buffered, then flushed once (client
+/// requests and the server's connection-level replies).
+pub(crate) fn send_frame(w: impl Write, frame: &Frame) -> Result<(), Error> {
+    let mut w = BufWriter::new(w);
+    write_frame(&mut w, frame)?;
     w.flush().map_err(io_err)
 }
 

@@ -15,7 +15,10 @@
 //!   catalog with a *shared* plan cache — the worker pool is the
 //!   session pool. Query results stream straight from
 //!   [`Session::stream_statement`] to the socket one batch at a time;
-//!   the server never materializes a streamable result.
+//!   the server never materializes a streamable result. Each response
+//!   goes through one buffered writer flushed once after its closing
+//!   frame, and every accepted socket sets `TCP_NODELAY`, so a response
+//!   never waits on Nagle's algorithm for the peer's delayed ACK.
 //!
 //! The parsed-statement cache is what makes the shared plan cache
 //! effective: parsing mints fresh block ids, so only a reused AST can
@@ -23,7 +26,7 @@
 //! stamped with the catalog version; a DDL bump invalidates them.
 
 use std::collections::HashMap;
-use std::io::BufReader;
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,11 +43,15 @@ use idea_query::{ExecMode, PlanCache, Session, SessionConfig};
 use parking_lot::Mutex;
 
 use crate::admission::{AdmissionConfig, AdmissionController, Permit};
-use crate::protocol::{error_frame, read_frame, write_frame, Frame};
+use crate::protocol::{error_frame, read_frame, send_frame, write_frame, Frame};
 
 /// Stack size for per-connection reader threads; they only frame bytes
 /// and parse SQL++, heavy evaluation happens on the worker pool.
 const CONN_STACK: usize = 512 * 1024;
+
+/// Write buffer per response: small responses (a count, a page of ids)
+/// leave as one segment; a batch frame larger than this streams through.
+const RESPONSE_BUFFER: usize = 64 * 1024;
 
 /// Server configuration. `Default` binds an ephemeral localhost port
 /// with a worker pool sized to the admission concurrency cap.
@@ -254,6 +261,10 @@ fn acceptor_loop(shared: Arc<Shared>, listener: TcpListener, jobs: Sender<Job>) 
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
+        // Responses are written whole and flushed once; with Nagle on, a
+        // response that spans two segments waits out the client's
+        // delayed ACK (~40 ms) before its tail leaves.
+        let _ = stream.set_nodelay(true);
         shared.metrics.counter(names::SERVE_CONNECTIONS_TOTAL).inc();
         shared.metrics.gauge(names::SERVE_CONNECTIONS).inc();
         let id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
@@ -303,7 +314,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream, jobs: Sender<Job>) {
         match frame {
             Frame::Hello { tenant: t } => {
                 tenant = t;
-                if write_frame(conn.get_mut(), &Frame::HelloOk).is_err() {
+                if send_frame(conn.get_ref(), &Frame::HelloOk).is_err() {
                     return;
                 }
             }
@@ -312,7 +323,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream, jobs: Sender<Job>) {
                     Ok(permit) => permit,
                     Err(err) => {
                         count_shed(shared, &err);
-                        if write_frame(conn.get_mut(), &error_frame(&err)).is_err() {
+                        if send_frame(conn.get_ref(), &error_frame(&err)).is_err() {
                             return;
                         }
                         continue;
@@ -324,7 +335,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream, jobs: Sender<Job>) {
                     Err(err) => {
                         drop(permit);
                         shared.metrics.counter(names::SERVE_ERRORS).inc();
-                        if write_frame(conn.get_mut(), &error_frame(&err)).is_err() {
+                        if send_frame(conn.get_ref(), &error_frame(&err)).is_err() {
                             return;
                         }
                         continue;
@@ -348,7 +359,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream, jobs: Sender<Job>) {
                 // violation closes the connection after a last error.
                 let err =
                     Error::new(ErrorCode::Protocol, format!("unexpected client frame: {other:?}"));
-                let _ = write_frame(conn.get_mut(), &error_frame(&err));
+                let _ = send_frame(conn.get_ref(), &error_frame(&err));
                 return;
             }
         }
@@ -399,18 +410,24 @@ fn worker_loop(shared: Arc<Shared>, jobs: Receiver<Job>) {
             .result_batch_size(shared.config.result_batch_size)
             .shared_plan_cache(shared.plan_cache.clone()),
     );
-    while let Ok(mut job) = jobs.recv() {
+    while let Ok(job) = jobs.recv() {
         shared.metrics.counter(names::SERVE_QUERIES).inc();
-        match run_job(&shared, &session, &job.stmts, &mut job.stream) {
-            Ok(rows) => {
+        // One buffered writer per response, flushed once after the
+        // closing `Done`/`Error` frame (and whenever a large batch
+        // frame fills the buffer on its own).
+        let mut w = BufWriter::with_capacity(RESPONSE_BUFFER, &job.stream);
+        let result = run_job(&shared, &session, &job.stmts, &mut w);
+        if let Err(err) = &result {
+            let _ = write_frame(&mut w, &error_frame(err));
+        }
+        match (result, w.flush()) {
+            (Ok(rows), Ok(())) => {
                 shared.metrics.counter(names::SERVE_ROWS_STREAMED).add(rows);
                 shared.metrics.histogram(names::SERVE_LATENCY).record(job.started.elapsed());
             }
-            Err(err) => {
-                shared.metrics.counter(names::SERVE_ERRORS).inc();
-                let _ = write_frame(&mut job.stream, &error_frame(&err));
-            }
+            _ => shared.metrics.counter(names::SERVE_ERRORS).inc(),
         }
+        drop(w);
         drop(job.permit);
         let _ = job.done.send(());
     }
@@ -422,7 +439,7 @@ fn run_job(
     shared: &Shared,
     session: &Session,
     stmts: &[Statement],
-    w: &mut TcpStream,
+    w: &mut impl Write,
 ) -> Result<u64, Error> {
     let mut total = 0u64;
     if let Some((last, init)) = stmts.split_last() {

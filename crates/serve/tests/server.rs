@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use idea_adm::Value;
 use idea_core::{ErrorCode, IngestionEngine};
@@ -151,6 +151,42 @@ fn results_stream_in_batches_not_one_blob() {
         100 / 8,
         summary.batches
     );
+    server.shutdown();
+}
+
+/// Sequential tiny queries over loopback answer in well under the ~40 ms
+/// a Nagle / delayed-ACK stall costs per response, and a multi-batch
+/// result still arrives as its `Rows` frames plus exactly one `Done`.
+#[test]
+fn tiny_queries_answer_without_a_nagle_stall() {
+    let config = ServerConfig { result_batch_size: 8, ..Default::default() };
+    let (_engine, server) = serve_tweets(100, config);
+    let mut client = Client::connect(server.local_addr(), "latency").unwrap();
+    let q = "SELECT VALUE t.id FROM Tweets t WHERE t.id = 7";
+    assert_eq!(client.query(q).unwrap(), vec![Value::Int(7)]); // warm the caches
+
+    let mut latencies: Vec<Duration> = (0..100)
+        .map(|_| {
+            let started = Instant::now();
+            assert_eq!(client.query(q).unwrap(), vec![Value::Int(7)]);
+            started.elapsed()
+        })
+        .collect();
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    assert!(median < Duration::from_millis(10), "median tiny-query latency {median:?}");
+
+    let mut batches = Vec::new();
+    let summary = client
+        .query_streamed("SELECT VALUE t.id FROM Tweets t", |b| batches.push(b.len()))
+        .unwrap();
+    assert_eq!(summary.rows, 100);
+    assert_eq!(summary.batches, batches.len() as u64);
+    assert_eq!(batches.iter().sum::<usize>(), 100);
+    assert!(batches.len() >= 100 / 8 && batches.iter().all(|&n| n <= 8), "{batches:?}");
+    // Exactly one `Done` closed that response: the next request's frames
+    // are its own.
+    assert_eq!(client.query(q).unwrap(), vec![Value::Int(7)]);
     server.shutdown();
 }
 

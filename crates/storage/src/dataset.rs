@@ -11,7 +11,9 @@ use parking_lot::RwLock;
 
 use crate::error::StorageError;
 use crate::index::{IndexDef, IndexKind, SecondaryIndex};
-use crate::lsm::{CacheStats, Entry, LsmConfig, LsmTree, RecoveryStats, TreeSnapshot, WalStats};
+use crate::lsm::{
+    CacheStats, Entry, KeyRange, LsmConfig, LsmTree, RecoveryStats, TreeSnapshot, WalStats,
+};
 use crate::maintenance::MaintenanceScheduler;
 use crate::stats::StorageStats;
 use crate::Result;
@@ -487,7 +489,14 @@ impl DatasetSnapshot {
     /// `Arc`-shared (or block-cache-shared for disk components), never
     /// deep-cloned.
     pub fn iter(&self) -> impl Iterator<Item = Arc<Value>> + '_ {
-        self.snap.iter().map(|(_, v)| v)
+        self.iter_range(&KeyRange::all())
+    }
+
+    /// Iterates live records whose primary key lies in `range`, in
+    /// primary-key order — a bounded scan that seeks every memtable run
+    /// and component instead of reading the whole partition.
+    pub fn iter_range(&self, range: &KeyRange) -> impl Iterator<Item = Arc<Value>> + '_ {
+        self.snap.iter_range(range).map(|(_, v)| v)
     }
 
     /// A page-level read handle when this snapshot is exactly one
@@ -509,8 +518,18 @@ impl DatasetSnapshot {
     /// executors. The final chunk may be short; chunks are never empty.
     /// Records stay `Arc`-shared; only the chunk `Vec`s are allocated.
     pub fn iter_batches(&self, batch_rows: usize) -> impl Iterator<Item = Vec<Arc<Value>>> + '_ {
+        self.iter_batches_range(&KeyRange::all(), batch_rows)
+    }
+
+    /// [`iter_batches`](Self::iter_batches) over the records whose
+    /// primary key lies in `range`.
+    pub fn iter_batches_range(
+        &self,
+        range: &KeyRange,
+        batch_rows: usize,
+    ) -> impl Iterator<Item = Vec<Arc<Value>>> + '_ {
         let batch_rows = batch_rows.max(1);
-        let mut it = self.iter();
+        let mut it = self.iter_range(range);
         std::iter::from_fn(move || {
             let chunk: Vec<Arc<Value>> = it.by_ref().take(batch_rows).collect();
             if chunk.is_empty() {

@@ -14,7 +14,8 @@
 //!   deterministic drain/shutdown and checkpoint pause;
 //! * [`Dataset`] — a primary-keyed record store over one LSM tree, with
 //!   insert/upsert/delete, clone-free (`Arc<Value>`) point lookup,
-//!   snapshot scans, and maintained secondary indexes;
+//!   snapshot scans (whole, or seeked to a primary-key [`KeyRange`]),
+//!   and maintained secondary indexes;
 //! * [`index`] — secondary B-tree index (value → primary keys) and an
 //!   R-tree spatial index (point → primary keys) used by
 //!   index-nested-loop joins (paper §4.3.4 case 3, Nearby Monuments);
@@ -39,7 +40,7 @@ pub mod stats;
 pub use dataset::{Dataset, DatasetConfig, DatasetSnapshot};
 pub use error::StorageError;
 pub use index::{BTreeIndex, IndexDef, IndexKind, RTree};
-pub use lsm::{Entry, LsmConfig, MergePolicy, MergePolicyConfig};
+pub use lsm::{Entry, KeyRange, LsmConfig, MergePolicy, MergePolicyConfig};
 pub use maintenance::{MaintKind, MaintenanceScheduler};
 pub use partitioned::PartitionedDataset;
 pub use persist::{

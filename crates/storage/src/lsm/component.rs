@@ -14,7 +14,7 @@ use std::sync::Arc;
 use idea_adm::Value;
 
 use super::bloom::BloomFilter;
-use super::{Entry, Memtable};
+use super::{Entry, KeyRange, Memtable};
 use crate::error::StorageError;
 use crate::persist::{
     BlockCache, ColumnarFile, ColumnarReader, ComponentFile, OpenColumnar, OpenComponent,
@@ -266,7 +266,15 @@ impl Component {
     /// from a scan (merges) must check it and treat a partial stream as
     /// a failure, never as a complete one.
     pub fn iter(&self) -> ComponentIter<'_> {
-        ComponentIter { comp: self, index: 0, block: None, error: None }
+        self.iter_range(&KeyRange::all())
+    }
+
+    /// Like [`iter`](Self::iter), restricted to keys in `range`: the
+    /// resident key column is seeked by `partition_point`, so the first
+    /// block read is the one holding the first in-range key.
+    pub fn iter_range(&self, range: &KeyRange) -> ComponentIter<'_> {
+        let span = range.span(&self.keys, |k| k);
+        ComponentIter { comp: self, index: span.start, end: span.end, block: None, error: None }
     }
 }
 
@@ -274,6 +282,8 @@ impl Component {
 pub struct ComponentIter<'a> {
     comp: &'a Component,
     index: usize,
+    /// One past the last key-column position to yield.
+    end: usize,
     /// Current decoded block for disk backings: (block idx, entries).
     block: Option<(u32, Arc<Vec<Entry>>)>,
     /// Set when a block read failed; the iteration ended early.
@@ -309,7 +319,7 @@ impl ComponentIter<'_> {
                     Err(e) => {
                         cache.note_read_error();
                         self.error = Some(e);
-                        self.index = self.comp.keys.len();
+                        self.index = self.end;
                         return None;
                     }
                 },
@@ -324,7 +334,7 @@ impl Iterator for ComponentIter<'_> {
     type Item = (Value, Entry);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.index >= self.comp.keys.len() {
+        if self.index >= self.end {
             return None;
         }
         let comp = self.comp;

@@ -39,11 +39,13 @@ mod bloom;
 mod component;
 mod memtable;
 pub mod policy;
+mod range;
 
 pub use bloom::BloomFilter;
 pub use component::{merge_iter, Component, ComponentIter};
 pub use memtable::Memtable;
 pub use policy::{MergePolicy, MergePolicyConfig};
+pub use range::KeyRange;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -1084,14 +1086,36 @@ impl TreeSnapshot {
     /// Live entries in key order (k-way merge, newest version wins,
     /// tombstones skipped).
     pub fn iter(&self) -> SnapshotIter<'_> {
+        self.iter_range(&KeyRange::all())
+    }
+
+    /// Live entries whose key lies in `range`, in key order. Every
+    /// source is seeked by `partition_point` on its in-memory keys — the
+    /// memtable run becomes a sub-slice, each component iterator gets an
+    /// end index — so the seek does no I/O. All versions of an in-range
+    /// key sit inside every source's span, so the newest-wins merge below
+    /// runs unchanged.
+    pub fn iter_range(&self, range: &KeyRange) -> SnapshotIter<'_> {
         let mut sources: Vec<EntrySource<'_>> = Vec::with_capacity(1 + self.components.len());
-        if !self.mem.is_empty() {
-            sources.push(Box::new(MemSource { entries: &self.mem, i: 0 }));
+        let mem = &self.mem[range.span(&self.mem, |(k, _)| k)];
+        if !mem.is_empty() {
+            sources.push(Box::new(MemSource { entries: mem, i: 0 }));
         }
         for c in self.components.iter() {
-            sources.push(Box::new(c.iter()));
+            sources.push(Box::new(c.iter_range(range)));
         }
-        let heads = sources.iter_mut().map(|s| s.next()).collect();
+        let mut heads: Vec<Option<(Value, Entry)>> = sources.iter_mut().map(|s| s.next()).collect();
+        // Drop sources empty within the range up front, so a range that
+        // falls inside one run takes the single-source fast path.
+        let mut i = 0;
+        while i < heads.len() {
+            if heads[i].is_none() {
+                heads.remove(i);
+                drop(sources.remove(i));
+            } else {
+                i += 1;
+            }
+        }
         SnapshotIter { heads, sources }
     }
 

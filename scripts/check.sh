@@ -26,6 +26,12 @@ run cargo test --offline -q -p idea-storage --test durability
 # (crash_recovery above already runs the kill-9 oracle per layout.)
 run cargo test --offline -q -p idea-storage --test columnar
 run cargo test --offline -q -p idea-query --test columnar_scan
+# Primary-key range access: every executor's bounded scan must equal the
+# `noindex` row-path oracle and read no more rows than the range holds.
+run cargo test --offline -q -p idea-query --test pk_range
+# Serving latency: sequential tiny queries over loopback must not pay a
+# Nagle/delayed-ACK stall (~40 ms each) per response.
+run cargo test --offline -q -p idea-serve --test server tiny_queries_answer_without_a_nagle_stall
 # Connector/spec smoke: the checked-in pipeline spec must load,
 # validate, and run end to end (logfile source → UDF → dataset), and a
 # SIGKILLed feed must resume from its committed connector offsets.

@@ -236,3 +236,59 @@ fn query_batch_metrics_appear() {
     drop(session);
     assert_eq!(registry.snapshot().gauge(names::QUERY_VEC_PLANS), Some(0));
 }
+
+/// `query/scan/pk_range` counts every partition scan a primary-key bound
+/// seeked, in each executor, and mirrors `ExecStats::pk_range_scans`; a
+/// `noindex` hint keeps the scan whole and the counter still.
+#[test]
+fn pk_range_scan_counter_appears() {
+    use idea::hyracks::Cluster;
+    use idea::obs::names;
+    use idea::query::{ExecMode, SessionConfig};
+
+    let cluster = Cluster::with_nodes(2);
+    let registry = MetricsRegistry::new();
+    cluster.attach_metrics(registry.clone());
+    let session = SessionConfig::new()
+        .parallel_min_cores(1)
+        .build_on(idea::query::Catalog::new(2), cluster);
+    session
+        .run_script(
+            r#"
+            CREATE TYPE PType AS OPEN { id: int64 };
+            CREATE DATASET Points(PType) PRIMARY KEY id;
+            "#,
+        )
+        .unwrap();
+    let points = session.catalog().dataset("Points").unwrap();
+    for id in 0..500i64 {
+        points.insert(Value::object([("id", Value::Int(id))])).unwrap();
+    }
+    let ranged = |registry: &MetricsRegistry| {
+        registry.snapshot().counter(names::QUERY_SCAN_PK_RANGE).unwrap_or(0)
+    };
+    let q = "SELECT VALUE p.id FROM Points p WHERE p.id >= 100 AND p.id < 150";
+
+    // Sequential vectorized scan: one bounded scan per partition.
+    assert_eq!(session.query(q).unwrap().as_array().unwrap().len(), 50);
+    assert_eq!(session.last_stats().pk_range_scans, 2);
+    assert_eq!(ranged(&registry), 2);
+
+    // The lazy scan stream (the serving path) counts the same way.
+    let mut stream = session.query_stream(q).unwrap();
+    while stream.next_batch().unwrap().is_some() {}
+    assert_eq!(stream.exec_stats().unwrap().pk_range_scans, 2);
+    assert_eq!(ranged(&registry), 4);
+
+    // `noindex` forbids the bound.
+    session
+        .query("SELECT VALUE p.id FROM Points /*+ noindex */ p WHERE p.id < 10")
+        .unwrap();
+    assert_eq!(session.last_stats().pk_range_scans, 0);
+    assert_eq!(ranged(&registry), 4);
+
+    // Parallel scan tasks bound their own partition's scan.
+    session.set_mode(ExecMode::Parallel);
+    assert_eq!(session.query(q).unwrap().as_array().unwrap().len(), 50);
+    assert_eq!(ranged(&registry), 6);
+}

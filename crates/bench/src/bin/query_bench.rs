@@ -1,18 +1,16 @@
 //! `scripts/bench.sh` entry point: measures the vectorized (columnar)
-//! evaluator and the parallel partitioned path against the sequential
-//! row-at-a-time baseline, and writes `BENCH_query.json`.
+//! evaluator against the row-at-a-time baseline, and writes
+//! `BENCH_query.json`.
 //!
 //! One 4-partition tweet dataset, four analytical queries (a pure
 //! selective scan, a scan + filter with a string predicate, a scan +
 //! GROUP BY aggregation, and a grouped reference join), each parsed
-//! **once** and executed repeatedly through a [`Session`] in three
+//! **once** and executed repeatedly through a [`Session`] in two
 //! configurations:
 //!
-//! * `row` — sequential, vectorization disabled ([`SessionConfig::vectorize`]):
-//!   the row-at-a-time oracle and this benchmark's baseline;
-//! * `vectorized` — sequential, columnar batches (the default path);
-//! * `parallel` — partitioned Hyracks job (which itself uses vectorized
-//!   per-partition scans where the block compiles).
+//! * `row` — vectorization disabled ([`SessionConfig::vectorize`]): the
+//!   row-at-a-time oracle and this benchmark's baseline;
+//! * `vectorized` — columnar batches (the default path).
 //!
 //! The vectorized run also records a per-operator time breakdown
 //! (scan/filter/join/agg/merge) from the engine's own counters.
@@ -29,16 +27,14 @@
 //! pure-scan query, the columnar layout loses to row-major, or the
 //! selective scan skips no pages. The full run additionally asserts
 //! the acceptance bars: vectorized group-by and join beat
-//! row-at-a-time, the pure scan by at least 2x, the columnar disk scan
-//! at least 2x over the row-major layout, and (on multi-core hosts)
-//! the partitioned group-by beats the row baseline.
+//! row-at-a-time, the pure scan by at least 2x, and the columnar disk
+//! scan at least 2x over the row-major layout.
 
 use std::time::{Duration, Instant};
 
 use idea_adm::Value;
-use idea_hyracks::Cluster;
 use idea_query::ast::Statement;
-use idea_query::{Catalog, ExecMode, ExecStats, Session, SessionConfig};
+use idea_query::{Catalog, ExecStats, Session, SessionConfig};
 use idea_storage::TempDir;
 
 const NODES: usize = 4;
@@ -53,12 +49,10 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Builds the shared catalog and returns (vectorized+parallel session,
+/// Builds the shared catalog and returns (vectorized session,
 /// row-at-a-time session). Both see the same data.
 fn setup(rows: u64) -> (Session, Session) {
-    let cluster = Cluster::with_nodes(NODES);
-    let catalog = Catalog::new(NODES);
-    let session = Session::with_cluster(catalog, cluster);
+    let session = Session::new(Catalog::new(NODES));
     session
         .run_script(
             r#"
@@ -150,17 +144,14 @@ struct QueryResult {
     rows_out: usize,
     row: LatencyStats,
     vectorized: LatencyStats,
-    parallel: LatencyStats,
-    /// row mean / vectorized mean (sequential vs sequential).
+    /// row mean / vectorized mean.
     speedup_vectorized: f64,
-    /// row mean / parallel mean.
-    speedup_parallel: f64,
     operators: OperatorBreakdown,
 }
 
 /// Times `iterations` warm executions of one parsed statement per
-/// configuration. The statement is parsed once, so the parallel runs
-/// share one block id — and therefore one predeployed job.
+/// configuration. The statement is parsed once, so every run shares one
+/// block id — and therefore one cached plan.
 fn measure_query(
     vec_session: &Session,
     row_session: &Session,
@@ -173,51 +164,41 @@ fn measure_query(
     let warmup = (iterations / 10).max(2);
 
     let mut operators = OperatorBreakdown::default();
-    let one =
-        |session: &Session, mode: ExecMode, samples: &mut Vec<Duration>, timed: bool| -> usize {
-            session.set_mode(mode);
-            let t = Instant::now();
-            let v = session.execute(stmt).expect("query").into_value().expect("value");
-            if timed {
-                samples.push(t.elapsed());
-            }
-            v.as_array().map(<[_]>::len).unwrap_or(0)
-        };
+    let one = |session: &Session, samples: &mut Vec<Duration>, timed: bool| -> usize {
+        let t = Instant::now();
+        let v = session.execute(stmt).expect("query").into_value().expect("value");
+        if timed {
+            samples.push(t.elapsed());
+        }
+        v.as_array().map(<[_]>::len).unwrap_or(0)
+    };
 
-    // The three configurations are interleaved within each round (not
-    // run as separate phases) so that slow drift in machine load hits
-    // all of them equally — each speedup ratio compares samples taken
-    // moments apart.
+    // The two configurations are interleaved within each round (not run
+    // as separate phases) so that slow drift in machine load hits both
+    // equally — each speedup ratio compares samples taken moments apart.
     let mut row_samples = Vec::with_capacity(iterations);
     let mut vec_samples = Vec::with_capacity(iterations);
-    let mut par_samples = Vec::with_capacity(iterations);
-    let (mut row_rows, mut vec_rows, mut par_rows) = (0, 0, 0);
+    let (mut row_rows, mut vec_rows) = (0, 0);
     for i in 0..warmup + iterations {
         let timed = i >= warmup;
-        row_rows = one(row_session, ExecMode::Sequential, &mut row_samples, timed);
-        vec_rows = one(vec_session, ExecMode::Sequential, &mut vec_samples, timed);
+        row_rows = one(row_session, &mut row_samples, timed);
+        vec_rows = one(vec_session, &mut vec_samples, timed);
         if timed {
             operators.add(&vec_session.last_stats());
         }
-        par_rows = one(vec_session, ExecMode::Parallel, &mut par_samples, timed);
     }
     assert_eq!(row_rows, vec_rows, "{name}: row and vectorized disagree on row count");
-    assert_eq!(row_rows, par_rows, "{name}: row and parallel disagree on row count");
 
     let row = stats(&row_samples);
     let vectorized = stats(&vec_samples);
-    let parallel = stats(&par_samples);
     let speedup_vectorized = row.mean_us / vectorized.mean_us;
-    let speedup_parallel = row.mean_us / parallel.mean_us;
     QueryResult {
         name,
         iterations,
         rows_out: row_rows,
         row,
         vectorized,
-        parallel,
         speedup_vectorized,
-        speedup_parallel,
         operators,
     }
 }
@@ -368,18 +349,15 @@ fn json_query(r: &QueryResult) -> String {
     format!(
         concat!(
             "{{\"query\": \"{}\", \"iterations\": {}, \"rows_out\": {}, ",
-            "\"row\": {}, \"vectorized\": {}, \"parallel\": {}, ",
-            "\"speedup_vectorized\": {:.2}, \"speedup_parallel\": {:.2}, ",
-            "\"operators\": {}}}"
+            "\"row\": {}, \"vectorized\": {}, ",
+            "\"speedup_vectorized\": {:.2}, \"operators\": {}}}"
         ),
         r.name,
         r.iterations,
         r.rows_out,
         json_latency(&r.row),
         json_latency(&r.vectorized),
-        json_latency(&r.parallel),
         r.speedup_vectorized,
-        r.speedup_parallel,
         json_operators(&r.operators)
     )
 }
@@ -425,14 +403,8 @@ fn main() {
         .collect();
     for r in &results {
         eprintln!(
-            "{:<14} row {:>9.1}us  vec {:>9.1}us ({:.2}x)  par {:>9.1}us ({:.2}x)  ({} rows out)",
-            r.name,
-            r.row.mean_us,
-            r.vectorized.mean_us,
-            r.speedup_vectorized,
-            r.parallel.mean_us,
-            r.speedup_parallel,
-            r.rows_out
+            "{:<14} row {:>9.1}us  vec {:>9.1}us ({:.2}x)  ({} rows out)",
+            r.name, r.row.mean_us, r.vectorized.mean_us, r.speedup_vectorized, r.rows_out
         );
     }
 
@@ -512,19 +484,6 @@ fn main() {
                 "vectorized {name} does not beat row-at-a-time: {:.2}x",
                 r.speedup_vectorized
             );
-        }
-        // Parallel vs the row baseline — the same comparison earlier
-        // revisions of this benchmark made (sequential used to *be*
-        // row-at-a-time). Only meaningful with real parallelism.
-        if cores >= 2 {
-            let gb = get("scan_group_by");
-            assert!(
-                gb.speedup_parallel >= 1.1,
-                "parallel scan/GROUP BY speedup {:.2}x is below the 1.1x acceptance bar",
-                gb.speedup_parallel
-            );
-        } else {
-            eprintln!("single-core host: parallel-vs-row bar recorded, not enforced");
         }
     }
 }

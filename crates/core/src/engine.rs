@@ -67,7 +67,7 @@ impl IngestionEngine {
             sched
         });
         let afm = ActiveFeedManager::new(cluster.clone(), catalog.clone());
-        let session = Session::with_cluster(catalog.clone(), cluster.clone());
+        let session = SessionConfig::new().build_on(catalog.clone(), afm.metrics().clone());
         Arc::new(IngestionEngine {
             cluster,
             catalog,
@@ -109,24 +109,14 @@ impl IngestionEngine {
         &self.afm
     }
 
-    /// The engine's shared default SQL++ session.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a configured session with IngestionEngine::new_session instead of \
-                mutating the engine-wide shared one"
-    )]
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// Builds a new SQL++ session over the engine's catalog and cluster
-    /// from an explicit [`SessionConfig`] (execution mode, parameter
-    /// defaults, tenant id, result batch size). Sessions are
-    /// independent; all of them see the same data and share compiled
-    /// plans when given a [shared plan
-    /// cache](SessionConfig::shared_plan_cache).
+    /// Builds a new SQL++ session over the engine's catalog from an
+    /// explicit [`SessionConfig`] (parameter defaults, tenant id, result
+    /// batch size). Its `query/*` instruments report into
+    /// [`metrics`](Self::metrics). Sessions are independent; all of them
+    /// see the same data and share compiled plans when given a [shared
+    /// plan cache](SessionConfig::shared_plan_cache).
     pub fn new_session(&self, config: SessionConfig) -> Session {
-        config.build_on(self.catalog.clone(), self.cluster.clone())
+        config.build_on(self.catalog.clone(), self.metrics().clone())
     }
 
     /// The engine-wide metrics registry: per-feed pipeline counters,

@@ -30,7 +30,6 @@
 //!   round of thread spawns.
 
 pub mod cluster;
-pub mod collector;
 pub mod connector;
 pub mod error;
 pub mod executor;
@@ -42,7 +41,6 @@ pub mod pool;
 pub mod predeploy;
 
 pub use cluster::{Cluster, ClusterConfig};
-pub use collector::{CollectorOp, ResultChannel, ResultMsg};
 pub use connector::ConnectorSpec;
 pub use error::HyracksError;
 pub use executor::{run_job, JobHandle};

@@ -4,24 +4,9 @@
 //! must agree on its name; the query-execution names live here so the
 //! query runtime, benchmarks, and tests reference one definition.
 
-/// Parallel query invocations that ran on the Hyracks runtime.
-pub const QUERY_PARALLEL_INVOCATIONS: &str = "query/parallel/invocations";
-/// Parallel-eligible queries that fell back to the sequential evaluator
-/// (runtime error, e.g. a node down at invocation time).
-pub const QUERY_PARALLEL_FALLBACKS: &str = "query/parallel/fallbacks";
-/// Job specs compiled and predeployed by the parallel query runtime.
-pub const QUERY_PARALLEL_DEPLOYS: &str = "query/parallel/deploys";
-/// End-to-end latency of successful parallel query invocations.
-pub const QUERY_PARALLEL_LATENCY: &str = "query/parallel/latency";
-/// Records scanned by parallel scan tasks (across all partitions).
-pub const QUERY_SCAN_ROWS: &str = "query/scan/rows";
 /// Partition scans bounded by a primary-key range (one per partition
 /// snapshot a range scan seeked), across every executor.
 pub const QUERY_SCAN_PK_RANGE: &str = "query/scan/pk_range";
-/// Rows emitted into exchange connectors (scan → group shuffles).
-pub const QUERY_EXCHANGE_ROWS: &str = "query/exchange/rows";
-/// Rows received by the final merge stage.
-pub const QUERY_MERGE_ROWS: &str = "query/merge/rows";
 /// Columnar batches built by vectorized scans.
 pub const QUERY_BATCHES_BUILT: &str = "query/batch/built";
 /// Rows-per-batch distribution of vectorized scans (histogram; the
@@ -31,7 +16,7 @@ pub const QUERY_BATCH_ROWS: &str = "query/batch/rows";
 /// row-at-a-time evaluation because an expression didn't compile.
 pub const QUERY_BATCH_FALLBACKS: &str = "query/batch/fallbacks";
 /// Pull-style probe: cached plans (most recently built session on the
-/// cluster) that compiled a vectorized plan. Weak-ref — reads 0 after
+/// registry) that compiled a vectorized plan. Weak-ref — reads 0 after
 /// the owning session's plan cache is dropped.
 pub const QUERY_VEC_PLANS: &str = "query/batch/vec_plans";
 

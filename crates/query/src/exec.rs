@@ -416,9 +416,9 @@ pub fn eval_block(block: &SelectBlock, env: &Env, ctx: &mut ExecContext) -> Resu
 }
 
 /// Runs the FROM join loop for plan items `from_order[start..]` over the
-/// given partial rows. `start > 0` lets a parallel scan task handle its
-/// driver item itself (a per-partition snapshot scan) and complete the
-/// remaining joins with the shared code path.
+/// given partial rows. `start > 0` lets the lazy scan stream handle its
+/// driver item itself and complete the remaining joins with the shared
+/// code path.
 pub(crate) fn join_from(
     block: &SelectBlock,
     plan: &BlockPlan,
@@ -718,15 +718,13 @@ fn hash_build(
 
 /// One group during grouped evaluation: the group environment (first
 /// row's bindings extended with explicit group aliases) and its rows.
-pub(crate) struct Group {
-    pub(crate) genv: Env,
-    pub(crate) rows: Vec<Env>,
+struct Group {
+    genv: Env,
+    rows: Vec<Env>,
 }
 
-/// Partitions rows into groups and applies HAVING. Shared by the
-/// sequential grouped path and the parallel group stage (where each
-/// hash-exchange partition owns a disjoint subset of the keys).
-pub(crate) fn build_groups(
+/// Partitions rows into groups and applies HAVING.
+fn build_groups(
     block: &SelectBlock,
     outer_env: &Env,
     rows: Vec<Env>,
@@ -780,29 +778,6 @@ pub(crate) fn build_groups(
         groups = kept;
     }
     Ok(groups)
-}
-
-/// Partial grouped evaluation for a parallel group-stage task: groups
-/// its share of the rows, applies HAVING, and returns each surviving
-/// group's ORDER-BY keys plus projected value — sorting, LIMIT, and
-/// DISTINCT are left to the merge stage, which sees all groups.
-pub(crate) fn eval_groups_keyed(
-    block: &SelectBlock,
-    outer_env: &Env,
-    rows: Vec<Env>,
-    ctx: &mut ExecContext,
-) -> Result<Vec<(Vec<Value>, Value)>> {
-    let groups = build_groups(block, outer_env, rows, ctx)?;
-    let mut out = Vec::with_capacity(groups.len());
-    for g in groups {
-        let mut keys = Vec::with_capacity(block.order_by.len());
-        for (e, _) in &block.order_by {
-            keys.push(eval_with_aggregates(e, &g.rows, &g.genv, ctx)?);
-        }
-        let v = project(block, &g.genv, ctx, Some(&g.rows))?;
-        out.push((keys, v));
-    }
-    Ok(out)
 }
 
 /// Grouped evaluation (GROUP BY, or implicit group-all for aggregates).

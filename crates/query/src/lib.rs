@@ -14,17 +14,19 @@
 //! * [`exec`] — evaluation with an explicit [`exec::ExecContext`] whose
 //!   lifetime *is* the computing model: per record (Model 1), per batch
 //!   (Model 2), or per feed (Model 3);
+//! * [`vector`] — the batch-at-a-time evaluator every block that
+//!   compiles to a [`vector::VecPlan`] runs on; the row interpreter in
+//!   [`exec`] runs the rest and is the vectorized path's oracle;
 //! * [`session::Session`] — the unified entry point: statement
 //!   execution (`CREATE TYPE/DATASET/INDEX/FUNCTION`, `DROP
 //!   DATASET/INDEX`, `INSERT`/`UPSERT`/`DELETE`, queries) with a shared
-//!   plan cache, prepared-statement parameters, and an execution-mode
-//!   knob — built up front via [`session::SessionConfig`];
+//!   plan cache and prepared-statement parameters — built up front via
+//!   [`session::SessionConfig`];
 //! * [`stream::RowStream`] — the streaming result surface: pull-based
-//!   batches from a lazy scan, a live parallel merge, or a re-chunked
-//!   materialized fallback;
-//! * [`parallel`] — compiles eligible query blocks into partitioned
-//!   `idea-hyracks` jobs (per-partition scans, hash exchanges for GROUP
-//!   BY, a merge stage), predeployed on the cluster's task pools.
+//!   batches from a lazy scan or a re-chunked materialized result.
+//!
+//! The crate runs queries in the calling thread and does not depend on
+//! the `idea-hyracks` job runtime.
 //!
 //! ```
 //! use idea_query::{Catalog, Session};
@@ -47,7 +49,6 @@ pub mod error;
 pub mod exec;
 pub mod expr;
 pub mod lexer;
-pub mod parallel;
 pub mod parser;
 pub mod plan;
 pub mod session;
@@ -59,8 +60,7 @@ pub use catalog::Catalog;
 pub use error::QueryError;
 pub use exec::{Env, ExecContext, ExecStats, PlanCache};
 pub use expr::{apply_function, eval_expr};
-pub use parallel::{ParallelRuntime, ParallelShape};
-pub use session::{ExecMode, Session, SessionConfig, StatementResult};
+pub use session::{Session, SessionConfig, StatementResult};
 pub use stream::RowStream;
 pub use udf::{FunctionDef, NativeUdf, NativeUdfFactory};
 

@@ -5,9 +5,9 @@
 //! (`run_sqlpp`/`run_query`/`execute`) forced every caller to manage ad
 //! hoc: a shared [`PlanCache`] (so repeated statements reuse compiled
 //! plans, invalidated automatically when DDL moves the catalog version),
-//! prepared-statement parameters, an execution-mode knob, and — when
-//! constructed over a Hyracks [`Cluster`] — the [`ParallelRuntime`] that
-//! compiles eligible query blocks into predeployed partitioned jobs.
+//! prepared-statement parameters, and — when built with
+//! [`SessionConfig::build_on`] — the metrics registry its statements
+//! report into.
 //!
 //! ```
 //! use idea_query::{Catalog, Session};
@@ -24,11 +24,10 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use idea_adm::Value;
-use idea_hyracks::Cluster;
-use idea_obs::names;
+use idea_obs::MetricsRegistry;
 use parking_lot::Mutex;
 
 use crate::ast::{Expr, Statement};
@@ -36,7 +35,6 @@ use crate::catalog::Catalog;
 use crate::error::QueryError;
 use crate::exec::{eval_block, Env, ExecContext, ExecStats, PlanCache};
 use crate::expr::eval_expr;
-use crate::parallel::ParallelRuntime;
 use crate::parser::parse_statements;
 use crate::stream::{scan_streamable, RowStream, ScanStream, DEFAULT_BATCH_SIZE};
 use crate::udf::FunctionDef;
@@ -47,11 +45,10 @@ use crate::Result;
 /// pattern of mutating a shared session through ad-hoc knobs.
 ///
 /// ```
-/// use idea_query::{Catalog, ExecMode, SessionConfig};
+/// use idea_query::{Catalog, SessionConfig};
 ///
 /// let catalog = Catalog::new(2);
 /// let session = SessionConfig::new()
-///     .mode(ExecMode::Sequential)
 ///     .result_batch_size(64)
 ///     .tenant("analytics")
 ///     .build(catalog);
@@ -59,25 +56,21 @@ use crate::Result;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
-    mode: ExecMode,
     params: HashMap<String, Value>,
     tenant: Option<String>,
     batch_size: usize,
     plan_cache: Option<Arc<PlanCache>>,
     vectorize: bool,
-    parallel_min_cores: usize,
 }
 
 impl Default for SessionConfig {
     fn default() -> SessionConfig {
         SessionConfig {
-            mode: ExecMode::Sequential,
             params: HashMap::new(),
             tenant: None,
             batch_size: DEFAULT_BATCH_SIZE,
             plan_cache: None,
             vectorize: true,
-            parallel_min_cores: 2,
         }
     }
 }
@@ -85,12 +78,6 @@ impl Default for SessionConfig {
 impl SessionConfig {
     pub fn new() -> SessionConfig {
         SessionConfig::default()
-    }
-
-    /// Initial execution mode (default: [`ExecMode::Sequential`]).
-    pub fn mode(mut self, mode: ExecMode) -> SessionConfig {
-        self.mode = mode;
-        self
     }
 
     /// Pre-binds a `$name` prepared-statement parameter.
@@ -129,38 +116,26 @@ impl SessionConfig {
         self
     }
 
-    /// Minimum host core count for [`ExecMode::Parallel`] dispatch
-    /// (default: 2; clamped to ≥ 1). On a single core the partitioned
-    /// jobs add exchange and task-switch overhead with zero real
-    /// concurrency — measured slower than the vectorized evaluator on
-    /// grouped joins — so parallel mode is inert below the threshold
-    /// and queries take the sequential path instead. Tests of the
-    /// parallel runtime itself pass 1 to force dispatch anywhere.
-    pub fn parallel_min_cores(mut self, n: usize) -> SessionConfig {
-        self.parallel_min_cores = n.max(1);
-        self
-    }
-
-    /// Builds a sequential-only session (no cluster attached).
+    /// Builds a session that reports into no metrics registry.
     pub fn build(self, catalog: Arc<Catalog>) -> Session {
         self.finish(catalog, None)
     }
 
-    /// Builds a session that can run eligible queries as partitioned
-    /// jobs on `cluster`.
-    pub fn build_on(self, catalog: Arc<Catalog>, cluster: Arc<Cluster>) -> Session {
-        self.finish(catalog, Some(cluster))
+    /// Builds a session whose statements record their `query/*`
+    /// instruments into `metrics`.
+    pub fn build_on(self, catalog: Arc<Catalog>, metrics: Arc<MetricsRegistry>) -> Session {
+        self.finish(catalog, Some(metrics))
     }
 
-    fn finish(self, catalog: Arc<Catalog>, cluster: Option<Arc<Cluster>>) -> Session {
+    fn finish(self, catalog: Arc<Catalog>, metrics: Option<Arc<MetricsRegistry>>) -> Session {
         let plan_cache = self.plan_cache.unwrap_or_default();
         // Pull-style view of the plan cache, following the storage
         // crates' weak-ref probe idiom: the registry samples the cache
         // at snapshot time but must not keep a dropped session's cache
         // alive (the probe reads 0 afterwards). Sessions sharing a
-        // cluster replace each other's probe; the most recently built
+        // registry replace each other's probe; the most recently built
         // session owns it.
-        if let Some(m) = cluster.as_ref().and_then(|c| c.metrics()) {
+        if let Some(m) = &metrics {
             let weak = Arc::downgrade(&plan_cache);
             m.probe(idea_obs::names::QUERY_VEC_PLANS, move || {
                 weak.upgrade().map_or(0, |pc| pc.vectorized_plans() as i64)
@@ -170,21 +145,13 @@ impl SessionConfig {
             catalog,
             plan_cache,
             params: Mutex::new(self.params),
-            mode: Mutex::new(self.mode),
-            parallel: cluster.map(ParallelRuntime::new),
+            metrics,
             last_stats: Mutex::new(ExecStats::default()),
             tenant: self.tenant,
             batch_size: self.batch_size,
             vectorize: self.vectorize,
-            parallel_min_cores: self.parallel_min_cores,
         }
     }
-}
-
-/// Cached `available_parallelism` (1 when the host can't report it).
-fn host_cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Result of executing one statement.
@@ -208,17 +175,6 @@ impl StatementResult {
     }
 }
 
-/// How a session runs top-level queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Single-threaded evaluator (always available; also the oracle the
-    /// parallel path is differential-tested against).
-    Sequential,
-    /// Compile eligible blocks to partitioned Hyracks jobs; anything
-    /// ineligible — or any runtime failure — falls back to sequential.
-    Parallel,
-}
-
 /// A stateful SQL++ session over a shared [`Catalog`].
 ///
 /// Cheap to keep around: holds no snapshot pins between statements (each
@@ -229,37 +185,28 @@ pub struct Session {
     catalog: Arc<Catalog>,
     plan_cache: Arc<PlanCache>,
     params: Mutex<HashMap<String, Value>>,
-    mode: Mutex<ExecMode>,
-    parallel: Option<ParallelRuntime>,
+    metrics: Option<Arc<MetricsRegistry>>,
     last_stats: Mutex<ExecStats>,
     tenant: Option<String>,
     batch_size: usize,
     vectorize: bool,
-    parallel_min_cores: usize,
 }
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("mode", &*self.mode.lock())
-            .field("parallel", &self.parallel.is_some())
+            .field("tenant", &self.tenant)
+            .field("vectorize", &self.vectorize)
+            .field("metrics", &self.metrics.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl Session {
-    /// A sequential-only session (no cluster attached) with default
-    /// configuration. Use [`SessionConfig`] to set anything up front.
+    /// A session with default configuration and no metrics registry.
+    /// Use [`SessionConfig`] to set anything up front.
     pub fn new(catalog: Arc<Catalog>) -> Session {
         SessionConfig::default().build(catalog)
-    }
-
-    /// A session that *can* run queries as partitioned jobs on
-    /// `cluster`. Starts in [`ExecMode::Sequential`]; opt in with
-    /// [`Session::set_mode`] or build via
-    /// [`SessionConfig::mode`] + [`SessionConfig::build_on`].
-    pub fn with_cluster(catalog: Arc<Catalog>, cluster: Arc<Cluster>) -> Session {
-        SessionConfig::default().build_on(catalog, cluster)
     }
 
     pub fn catalog(&self) -> &Arc<Catalog> {
@@ -276,25 +223,6 @@ impl Session {
         self.batch_size
     }
 
-    pub fn mode(&self) -> ExecMode {
-        *self.mode.lock()
-    }
-
-    /// Switches query execution mode. Selecting [`ExecMode::Parallel`]
-    /// on a session built without a cluster — or on a host below the
-    /// configured [`SessionConfig::parallel_min_cores`] — is allowed but
-    /// inert (every query falls back to the sequential evaluator).
-    pub fn set_mode(&self, mode: ExecMode) {
-        *self.mode.lock() = mode;
-    }
-
-    /// Whether a query should attempt parallel dispatch: the session is
-    /// in [`ExecMode::Parallel`] and the host has enough cores for
-    /// partitioned jobs to beat the single-threaded evaluators.
-    fn parallel_active(&self) -> bool {
-        self.mode() == ExecMode::Parallel && host_cores() >= self.parallel_min_cores
-    }
-
     /// Binds a `$name` prepared-statement parameter for subsequent
     /// statements.
     pub fn set_param(&self, name: impl Into<String>, value: Value) {
@@ -305,8 +233,8 @@ impl Session {
         self.params.lock().clear();
     }
 
-    /// Execution counters from the most recent *sequential* statement
-    /// (parallel runs report through the cluster's metrics registry).
+    /// Execution counters from the most recent materialized statement
+    /// (a lazy stream reports through [`RowStream::exec_stats`]).
     pub fn last_stats(&self) -> ExecStats {
         *self.last_stats.lock()
     }
@@ -329,11 +257,10 @@ impl Session {
     /// Parses a single query and returns its result as a [`RowStream`].
     ///
     /// Streamable blocks (see [`crate::stream`]) evaluate lazily — only
-    /// one batch of rows is ever materialized at a time; on a parallel
-    /// session, eligible blocks stream live from the merge collector of
-    /// a partitioned job. Everything else falls back to the
-    /// materializing evaluator and re-chunks the finished result, so
-    /// this is total over the same query set as [`Session::query`].
+    /// one batch of rows is ever materialized at a time. Everything else
+    /// falls back to the materializing evaluator and re-chunks the
+    /// finished result, so this is total over the same query set as
+    /// [`Session::query`].
     pub fn query_stream(&self, text: &str) -> Result<RowStream> {
         let mut stmts = parse_statements(text)?;
         let stmt = match (stmts.pop(), stmts.is_empty()) {
@@ -358,31 +285,12 @@ impl Session {
             self.finish(ctx);
             return Ok(RowStream::materialized(vec![v], self.batch_size));
         };
-        let block = block.clone();
-
-        if self.parallel_active() {
-            if let Some(rt) = &self.parallel {
-                let params = self.params.lock().clone();
-                match rt.execute_block_stream(&block, &self.catalog, &self.plan_cache, &params) {
-                    Some(Ok(stream)) => return Ok(RowStream::parallel(stream, self.batch_size)),
-                    Some(Err(err)) => {
-                        if let Some(m) = rt.cluster().metrics() {
-                            m.counter(names::QUERY_PARALLEL_FALLBACKS).inc();
-                        }
-                        log_fallback(&err);
-                    }
-                    None => {} // not eligible for streaming parallel execution
-                }
-            }
-        }
-
         let mut ctx = self.fresh_context();
-        let plan = ctx.plan_for(&block)?;
-        if scan_streamable(&block, &plan) {
-            return Ok(RowStream::scan(ScanStream::new(block, ctx, self.batch_size)?));
+        let plan = ctx.plan_for(block)?;
+        if scan_streamable(block, &plan) {
+            return Ok(RowStream::scan(ScanStream::new(block.clone(), ctx, self.batch_size)?));
         }
-        // Not streamable: materialize (possibly via the parallel path,
-        // which handles sorts/groups at the merge stage) and re-chunk.
+        // Not streamable: materialize and re-chunk.
         drop(ctx);
         let v = self.run_query_expr(e)?;
         let rows = match v {
@@ -398,8 +306,8 @@ impl Session {
     fn fresh_context(&self) -> ExecContext {
         let mut ctx = ExecContext::with_plan_cache(self.catalog.clone(), self.plan_cache.clone());
         ctx.vectorize = self.vectorize;
-        if let Some(m) = self.parallel.as_ref().and_then(|rt| rt.cluster().metrics()) {
-            ctx.attach_metrics(m);
+        if let Some(m) = &self.metrics {
+            ctx.attach_metrics(m.clone());
         }
         for (k, v) in self.params.lock().iter() {
             ctx.set_param(k.clone(), v.clone());
@@ -503,27 +411,8 @@ impl Session {
         }
     }
 
-    /// Evaluates a top-level query expression, dispatching eligible
-    /// blocks to the parallel runtime in [`ExecMode::Parallel`].
+    /// Evaluates a top-level query expression.
     fn run_query_expr(&self, e: &Expr) -> Result<Value> {
-        if self.parallel_active() {
-            if let (Some(rt), Expr::Subquery(block)) = (&self.parallel, e) {
-                let params = self.params.lock().clone();
-                match rt.execute_block(block, &self.catalog, &self.plan_cache, &params) {
-                    Some(Ok(rows)) => return Ok(Value::Array(rows)),
-                    Some(Err(err)) => {
-                        // Runtime failure (node down, operator error):
-                        // count it and fall back to the sequential
-                        // evaluator, which reads storage directly.
-                        if let Some(m) = rt.cluster().metrics() {
-                            m.counter(names::QUERY_PARALLEL_FALLBACKS).inc();
-                        }
-                        log_fallback(&err);
-                    }
-                    None => {} // not eligible for parallel execution
-                }
-            }
-        }
         let mut ctx = self.fresh_context();
         let v = match e {
             Expr::Subquery(block) => Value::Array(eval_block(block, &Env::new(), &mut ctx)?),
@@ -556,10 +445,4 @@ impl Session {
             ))),
         }
     }
-}
-
-fn log_fallback(err: &QueryError) {
-    // Not a logging framework — but a silent fallback would make a
-    // wedged cluster look like a slow one.
-    eprintln!("idea-query: parallel execution failed, falling back to sequential: {err}");
 }

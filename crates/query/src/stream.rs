@@ -5,17 +5,13 @@
 //! call, fatal for a server that must fan results out to thousands of
 //! sockets. [`Session::query_stream`](crate::Session::query_stream)
 //! returns a [`RowStream`] instead: a pull-based iterator over result
-//! *batches*, backed by whichever of three sources fits the query:
+//! *batches*, backed by whichever of two sources fits the query:
 //!
 //! * **Scan** — single-dataset blocks with no ORDER BY / GROUP BY /
 //!   DISTINCT / aggregates evaluate lazily: the stream pins the
 //!   dataset's snapshots up front and runs the filter/LET/projection
 //!   pipeline one batch of input records at a time, so only one output
 //!   batch is ever materialized;
-//! * **Parallel** — on a parallel session, streamable blocks run as a
-//!   partitioned Hyracks job whose merge collector forwards frames
-//!   through the [`ResultChannel`](idea_hyracks::ResultChannel) as they
-//!   arrive (see [`crate::parallel`]);
 //! * **Materialized** — everything else (sorts, groups, joins with
 //!   non-streamable plans) falls back to the sequential evaluator and
 //!   re-chunks the finished result, so the API is total even when
@@ -39,7 +35,6 @@ use crate::exec::{
     ExecStats,
 };
 use crate::expr::eval_expr;
-use crate::parallel::ParallelStream;
 use crate::plan::{AccessPath, BlockPlan};
 use crate::Result;
 
@@ -191,8 +186,6 @@ enum Source {
     Materialized(VecDeque<Value>),
     /// Lazy sequential scan.
     Scan(Box<ScanStream>),
-    /// Live parallel invocation fed by the merge collector.
-    Parallel(ParallelStream),
 }
 
 /// A pull-based stream of query result rows, consumed in batches.
@@ -216,7 +209,6 @@ impl std::fmt::Debug for RowStream {
         let source = match &self.source {
             Source::Materialized(_) => "materialized",
             Source::Scan(_) => "scan",
-            Source::Parallel(_) => "parallel",
         };
         f.debug_struct("RowStream")
             .field("source", &source)
@@ -251,12 +243,8 @@ impl RowStream {
         RowStream::new(Source::Scan(Box::new(stream)), batch, 0)
     }
 
-    pub(crate) fn parallel(stream: ParallelStream, batch_size: usize) -> RowStream {
-        RowStream::new(Source::Parallel(stream), batch_size, 0)
-    }
-
-    /// Whether this stream evaluates lazily (scan or parallel source) as
-    /// opposed to re-chunking a materialized result.
+    /// Whether this stream evaluates lazily (a scan source) as opposed
+    /// to re-chunking a materialized result.
     pub fn is_streaming(&self) -> bool {
         !matches!(self.source, Source::Materialized(_))
     }
@@ -280,13 +268,12 @@ impl RowStream {
     }
 
     /// Execution counters of a lazy sequential scan so far (`None` for
-    /// materialized and parallel sources, whose statements report through
-    /// [`Session::last_stats`](crate::Session::last_stats) and the
-    /// cluster's metrics registry).
+    /// a materialized source, whose statement reports through
+    /// [`Session::last_stats`](crate::Session::last_stats)).
     pub fn exec_stats(&self) -> Option<ExecStats> {
         match &self.source {
             Source::Scan(s) => Some(s.ctx.stats),
-            _ => None,
+            Source::Materialized(_) => None,
         }
     }
 
@@ -302,7 +289,6 @@ impl RowStream {
                 }
             }
             Source::Scan(s) => s.next_batch()?,
-            Source::Parallel(p) => p.next_batch()?,
         };
         if let Some(b) = &batch {
             if self.is_streaming() {

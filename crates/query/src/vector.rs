@@ -177,14 +177,6 @@ pub struct VecPlan {
 }
 
 impl VecPlan {
-    /// Whether the plan has a hash-join side. A parallel scan task that
-    /// used the vectorized driver scan must still run the row-at-a-time
-    /// join and post-filter pipeline when this is true; when false the
-    /// driver filters already include the post filters.
-    pub(crate) fn has_join(&self) -> bool {
-        self.join.is_some()
-    }
-
     /// Whether evaluating the plan ever reads side `side`'s records as
     /// whole values: the alias in scalar position (`VecExpr::Rec`),
     /// `alias.*` projection, or the grouped tail (which binds each
@@ -1305,82 +1297,6 @@ fn columnar_batches(
         m.counter(idea_obs::names::COLUMNAR_ROW_FALLBACK_PAGES).add(fallbacks);
     }
     Ok((batches, n))
-}
-
-/// Per-partition vectorized driver scan for the parallel runtime: builds
-/// batches from one partition's snapshot, applies the plan's driver-only
-/// filters, and returns the surviving records in scan order. The join /
-/// post pipeline (when present) stays row-at-a-time in the scan task —
-/// only the hot scan+filter loop is vectorized per partition.
-pub(crate) fn scan_partition(
-    vp: &VecPlan,
-    snap: &idea_storage::DatasetSnapshot,
-    ctx: &mut ExecContext,
-) -> Result<Vec<Arc<Value>>> {
-    let metrics = ctx.metrics.clone();
-    let rows_hist = metrics.as_ref().map(|m| m.histogram(idea_obs::names::QUERY_BATCH_ROWS));
-
-    // A sealed columnar partition slices pages directly. The scan task
-    // returns whole records, so rows are always decoded alongside.
-    if let Some(reader) = snap.columnar() {
-        let (bs, n) = columnar_batches(ctx, &reader, &vp.driver, &vp.d_filters, 0, true)?;
-        ctx.stats.rows_scanned += n;
-        ctx.stats.batch_rows += n;
-        ctx.stats.batches_built += bs.len() as u64;
-        if let Some(m) = &metrics {
-            m.counter(idea_obs::names::QUERY_BATCHES_BUILT).add(bs.len() as u64);
-        }
-        let mut out = Vec::new();
-        for b in bs {
-            if let Some(h) = &rows_hist {
-                h.record_nanos(b.len() as u64);
-            }
-            let mut sel: Vec<u32> = (0..b.len() as u32).collect();
-            for f in &vp.d_filters {
-                if sel.is_empty() {
-                    break;
-                }
-                filter_pass(f, &b, 0, &mut sel, ctx)?;
-            }
-            out.extend(sel.into_iter().map(|r| b.rows[r as usize].clone()));
-        }
-        return Ok(out);
-    }
-
-    let range = ctx.scan_range(vp.driver.key_range.as_ref(), 1);
-    let sample: Vec<Arc<Value>> = snap.iter_range(range).take(SAMPLE_ROWS).collect();
-    let mut types = infer_types(sample.iter().map(|r| r.as_ref()), &vp.driver.fields);
-    drop(sample);
-    for (t, eager) in types.iter_mut().zip(&vp.driver.eager) {
-        if !eager {
-            *t = ColType::Lazy;
-        }
-    }
-
-    let mut out = Vec::new();
-    let mut batches = 0u64;
-    for chunk in snap.iter_batches_range(range, BATCH_ROWS) {
-        ctx.stats.rows_scanned += chunk.len() as u64;
-        ctx.stats.batch_rows += chunk.len() as u64;
-        batches += 1;
-        if let Some(h) = &rows_hist {
-            h.record_nanos(chunk.len() as u64);
-        }
-        let b = build_batch(chunk, &vp.driver.fields, &mut types);
-        let mut sel: Vec<u32> = (0..b.len() as u32).collect();
-        for f in &vp.d_filters {
-            if sel.is_empty() {
-                break;
-            }
-            filter_pass(f, &b, 0, &mut sel, ctx)?;
-        }
-        out.extend(sel.into_iter().map(|r| b.rows[r as usize].clone()));
-    }
-    ctx.stats.batches_built += batches;
-    if let Some(m) = &metrics {
-        m.counter(idea_obs::names::QUERY_BATCHES_BUILT).add(batches);
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------

@@ -7,17 +7,15 @@
 //! derives a bound) on the row-at-a-time evaluator. Every bounded query
 //! runs through each executor's one scan call site — the vectorized
 //! evaluator (`Session::query`), the lazy scan stream
-//! (`Session::query_stream`), the parallel runtime, and a LET block that
-//! keeps the row interpreter — and must read no more rows than the range
-//! holds, so the bounded path provably fired.
+//! (`Session::query_stream`), and a LET block that keeps the row
+//! interpreter — and must read no more rows than the range holds, so the
+//! bounded path provably fired.
 
 use std::sync::Arc;
 
 use idea_adm::Value;
-use idea_hyracks::Cluster;
-use idea_obs::{names, MetricsRegistry};
 use idea_query::catalog::Catalog;
-use idea_query::{ExecMode, ExecStats, Session, SessionConfig};
+use idea_query::{ExecStats, Session, SessionConfig};
 use proptest::prelude::*;
 
 const GROUPS: &[&str] = &["a", "b", "c"];
@@ -166,16 +164,6 @@ fn setup(rows: &[Row], deletes: &[i64]) -> Arc<Catalog> {
     c
 }
 
-fn sorted(v: &Value) -> Vec<String> {
-    let mut rows: Vec<String> = v.as_array().unwrap().iter().map(|r| format!("{r}")).collect();
-    rows.sort();
-    rows
-}
-
-fn counter(m: &MetricsRegistry, name: &str) -> u64 {
-    m.snapshot().counter(name).unwrap_or(0)
-}
-
 /// Checks one executor's counters: a bounded run scanned at most the
 /// in-range rows and counted its bounded scans; an unbounded one none.
 fn check_stats(what: &str, q: &str, pk_range_scans: u64, rows_scanned: u64, in_range: Option<u64>) {
@@ -191,14 +179,7 @@ fn check_stats(what: &str, q: &str, pk_range_scans: u64, rows_scanned: u64, in_r
 fn run_differential(rows: Vec<Row>, deletes: Vec<i64>, queries: Vec<(usize, i64, i64)>) {
     let catalog = setup(&rows, &deletes);
     let oracle = SessionConfig::new().vectorize(false).build(catalog.clone());
-    let vectorized = Session::new(catalog.clone());
-    let cluster = Cluster::with_nodes(NODES);
-    let metrics = MetricsRegistry::new();
-    cluster.attach_metrics(metrics.clone());
-    let parallel = SessionConfig::new()
-        .mode(ExecMode::Parallel)
-        .parallel_min_cores(1)
-        .build_on(catalog, cluster);
+    let vectorized = Session::new(catalog);
 
     for (template, c, d) in queries {
         let p = pred(template, c, d);
@@ -236,25 +217,6 @@ fn run_differential(rows: Vec<Row>, deletes: Vec<i64>, queries: Vec<(usize, i64,
         let st = vectorized.last_stats();
         assert_eq!(st.batches_built, 0, "LET block vectorized: {with_let}");
         check_stats("row path", &with_let, st.pk_range_scans, st.rows_scanned, in_range);
-
-        // Parallel runtime: vectorized per-partition scans, and the row
-        // scan for the LET block. Result order is unspecified.
-        for q in [&plain, &with_let] {
-            let (runs, ranges, scanned) = (
-                counter(&metrics, names::QUERY_PARALLEL_INVOCATIONS),
-                counter(&metrics, names::QUERY_SCAN_PK_RANGE),
-                counter(&metrics, names::QUERY_SCAN_ROWS),
-            );
-            assert_eq!(sorted(&parallel.query(q).unwrap()), sorted(&want), "parallel: {q}");
-            assert_eq!(counter(&metrics, names::QUERY_PARALLEL_INVOCATIONS), runs + 1, "{q}");
-            check_stats(
-                "parallel",
-                q,
-                counter(&metrics, names::QUERY_SCAN_PK_RANGE) - ranges,
-                counter(&metrics, names::QUERY_SCAN_ROWS) - scanned,
-                in_range,
-            );
-        }
     }
 }
 

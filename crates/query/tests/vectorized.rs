@@ -20,6 +20,10 @@ use idea_query::{Session, SessionConfig};
 use proptest::prelude::*;
 
 const GROUPS: &[&str] = &["a", "b", "c", "d"];
+/// `W.word` values: substrings `T.txt` (drawn from `[a-e ]`) may contain.
+const WORDS: &[&str] = &["a", "b", "ab", "c", "de"];
+/// Number of query templates in [`query_text`].
+const TEMPLATES: usize = 17;
 
 /// One generated record: `score` exercises every column shape the
 /// inference pass can meet (typed, unknown-heavy, mixed, absent).
@@ -59,7 +63,8 @@ fn rows_strategy(max: usize) -> impl Strategy<Value = Vec<Row>> {
 }
 
 /// Builds the shared catalog and inserts the generated rows plus a
-/// small build-side dataset for join queries.
+/// small build-side dataset for join queries (`grp` is the equi-join
+/// key, `word` the operand of a `contains` join residual).
 fn setup(rows: &[Row], words: &[(i64, usize)]) -> Arc<Catalog> {
     let c = Catalog::new(2);
     Session::new(c.clone())
@@ -90,6 +95,7 @@ fn setup(rows: &[Row], words: &[(i64, usize)]) -> Arc<Catalog> {
         w.upsert(Value::object([
             ("wid", Value::Int(*wid)),
             ("grp", Value::str(GROUPS[*g % GROUPS.len()])),
+            ("word", Value::str(WORDS[*wid as usize % WORDS.len()])),
         ]))
         .unwrap();
     }
@@ -99,7 +105,7 @@ fn setup(rows: &[Row], words: &[(i64, usize)]) -> Arc<Catalog> {
 /// The randomized query templates. Each exercises a different vectorized
 /// operator; `c` is a random constant spliced into predicates.
 fn query_text(template: usize, c: i64) -> String {
-    match template % 10 {
+    match template % TEMPLATES {
         // Pure scan + typed cmp kernel.
         0 => format!("SELECT VALUE t.id FROM T t WHERE t.score > {c}"),
         // Scalar-fallback filter (AND of mixed kernels) + projection.
@@ -131,6 +137,43 @@ fn query_text(template: usize, c: i64) -> String {
             .into(),
         // ORDER BY / LIMIT / DISTINCT tail over a scan.
         8 => format!("SELECT DISTINCT VALUE t.grp FROM T t WHERE t.id >= {c} ORDER BY t.grp"),
+        // ORDER BY the primary key + LIMIT over a filtered scan.
+        9 => format!(
+            "SELECT t.id AS id, t.score AS score FROM T t \
+             WHERE t.score >= {c} ORDER BY t.id LIMIT {}",
+            c % 7 + 1
+        ),
+        // Filtered GROUP BY with several aggregates, ordered by the key.
+        10 => format!(
+            "SELECT t.grp AS g, count(*) AS n, sum(t.score) AS total \
+             FROM T t WHERE t.score < {c} GROUP BY t.grp ORDER BY t.grp"
+        ),
+        // GROUP BY with avg and HAVING.
+        11 => format!(
+            "SELECT t.grp AS g, avg(t.score) AS mean FROM T t \
+             GROUP BY t.grp HAVING count(*) > {} ORDER BY t.grp",
+            c % 5
+        ),
+        // Equi-join plus a non-equi `contains` residual across the sides.
+        12 => format!(
+            "SELECT t.id AS i, w.word AS word FROM T t, W w \
+             WHERE t.grp = w.grp AND contains(t.txt, w.word) AND t.id < {}",
+            c * 3
+        ),
+        // Aggregates without GROUP BY under a filter that may select
+        // nothing (the implicit group is still one row).
+        13 => format!(
+            "SELECT count(*) AS n, min(t.score) AS lo, max(t.score) AS hi \
+             FROM T t WHERE t.grp = \"{}\" AND t.id < {c}",
+            GROUPS[c as usize % GROUPS.len()]
+        ),
+        // DISTINCT VALUE under a filter, no ORDER BY.
+        14 => format!("SELECT DISTINCT VALUE t.grp FROM T t WHERE t.score < {c}"),
+        // Grouped join through the `contains` residual.
+        15 => "SELECT w.word AS word, count(*) AS n FROM T t, W w \
+               WHERE t.grp = w.grp AND contains(t.txt, w.word) \
+               GROUP BY w.word ORDER BY w.word"
+            .into(),
         // UDF in the projection: both sessions take the row path (the
         // vectorized session records a fallback), results still agree.
         _ => format!("SELECT VALUE bump(t) FROM T t WHERE t.id < {c}"),
@@ -163,7 +206,7 @@ proptest! {
     fn vectorized_matches_row_oracle(
         rows in rows_strategy(80),
         words in prop::collection::vec((0i64..30, 0usize..8), 0..12),
-        consts in prop::collection::vec(0i64..60, 10),
+        consts in prop::collection::vec(0i64..60, TEMPLATES),
     ) {
         let queries = consts.iter().enumerate().map(|(t, c)| (t, *c)).collect();
         run_differential(rows, words, queries);
@@ -196,7 +239,7 @@ proptest! {
         run_differential(
             dedup.into_values().collect(),
             vec![(1, 0), (2, 1)],
-            (0..10).map(|t| (t, c)).collect(),
+            (0..TEMPLATES).map(|t| (t, c)).collect(),
         );
     }
 }

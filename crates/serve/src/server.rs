@@ -39,7 +39,7 @@ use idea_core::{Error, ErrorCode, ExecOutcome, IngestionEngine};
 use idea_obs::{names, MetricsRegistry};
 use idea_query::ast::Statement;
 use idea_query::parser::parse_statements;
-use idea_query::{ExecMode, PlanCache, Session, SessionConfig};
+use idea_query::{PlanCache, Session, SessionConfig};
 use parking_lot::Mutex;
 
 use crate::admission::{AdmissionConfig, AdmissionController, Permit};
@@ -70,8 +70,6 @@ pub struct ServerConfig {
     pub result_batch_size: usize,
     /// Parsed-statement cache entries before wholesale eviction.
     pub stmt_cache_capacity: usize,
-    /// Execution mode for the pooled sessions.
-    pub exec_mode: ExecMode,
 }
 
 impl Default for ServerConfig {
@@ -83,7 +81,6 @@ impl Default for ServerConfig {
             admission: AdmissionConfig::default(),
             result_batch_size: 256,
             stmt_cache_capacity: 1024,
-            exec_mode: ExecMode::Sequential,
         }
     }
 }
@@ -406,7 +403,6 @@ fn count_shed(shared: &Shared, err: &Error) {
 fn worker_loop(shared: Arc<Shared>, jobs: Receiver<Job>) {
     let session = shared.engine.new_session(
         SessionConfig::new()
-            .mode(shared.config.exec_mode)
             .result_batch_size(shared.config.result_batch_size)
             .shared_plan_cache(shared.plan_cache.clone()),
     );

@@ -157,13 +157,6 @@ impl PartitionedDataset {
         self.partitions.iter().map(|p| p.snapshot()).collect()
     }
 
-    /// Snapshots a single partition — the per-partition handoff a
-    /// parallel scan task uses: each task pins only the partition that
-    /// lives on its node instead of the whole dataset.
-    pub fn snapshot_partition(&self, p: usize) -> DatasetSnapshot {
-        self.partitions[p].snapshot()
-    }
-
     /// Drops the named secondary index from every partition.
     pub fn drop_index(&self, name: &str) -> Result<()> {
         for p in &self.partitions {

@@ -3,12 +3,11 @@
 #  * ingest_bench — invoke overhead + ingestion for the resident task
 #    pool; writes BENCH_ingest.json and fails if the pooled invoke path
 #    is not at least 2x cheaper than spawn-per-run.
-#  * query_bench — vectorized (columnar) and parallel partitioned
-#    query execution vs. the sequential row-at-a-time baseline; writes
-#    BENCH_query.json with a per-operator breakdown, fails (smoke and
-#    full) if the vectorized pure-scan query is slower than
-#    row-at-a-time, and in full runs enforces the vectorized group-by /
-#    join and parallel scan/GROUP BY speedup bars.
+#  * query_bench — vectorized (columnar) query execution vs. the
+#    row-at-a-time baseline; writes BENCH_query.json with a
+#    per-operator breakdown, fails (smoke and full) if the vectorized
+#    pure-scan query is slower than row-at-a-time, and in full runs
+#    enforces the vectorized group-by / join speedup bars.
 #  * storage_bench — background LSM maintenance vs. synchronous
 #    flush/merge on the writer path; writes BENCH_storage.json and
 #    fails if the merge-point p99 put reduction is below 5x or the

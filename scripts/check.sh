@@ -10,6 +10,15 @@ run() {
 }
 
 run cargo build --release --offline
+# The query engine runs in the calling thread: it must not depend on the
+# Hyracks job runtime the ingestion pipeline runs on.
+echo "==> idea-query does not depend on idea-hyracks"
+query_deps="$(cargo tree --offline -p idea-query -e normal)"
+if grep -q 'idea-hyracks' <<<"$query_deps"; then
+    echo "idea-query depends on idea-hyracks:" >&2
+    echo "$query_deps" >&2
+    exit 1
+fi
 run cargo test --offline -q
 run cargo test --offline --workspace -q
 # Durable-storage recovery smoke: kill-9 crash recovery + the

@@ -68,6 +68,6 @@ pub mod prelude {
         SupervisionSpec,
     };
     pub use idea_obs::{MetricsRegistry, MetricsScope, Snapshot};
-    pub use idea_query::{ExecMode, RowStream, Session, SessionConfig, StatementResult};
+    pub use idea_query::{RowStream, Session, SessionConfig, StatementResult};
     pub use idea_serve::{AdmissionConfig, Client, RateLimit, Server, ServerConfig};
 }

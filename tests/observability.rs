@@ -172,22 +172,16 @@ fn queue_depth_gauge_tracks_stalled_consumer() {
 }
 
 /// The vectorized query path's `query/batch/*` instruments: the batch
-/// counter and rows-per-batch histogram record both sequential and
-/// parallel scans, the fallback counter records row-path demotions, and
-/// the plan-cache probe is weak-ref'd (reads 0 once the session drops).
+/// counter and rows-per-batch histogram record vectorized scans, the
+/// fallback counter records row-path demotions, and the plan-cache
+/// probe is weak-ref'd (reads 0 once the session drops).
 #[test]
 fn query_batch_metrics_appear() {
-    use idea::hyracks::Cluster;
     use idea::obs::names;
-    use idea::query::{Catalog, ExecMode, SessionConfig};
+    use idea::query::{Catalog, SessionConfig};
 
-    let cluster = Cluster::with_nodes(2);
     let registry = MetricsRegistry::new();
-    cluster.attach_metrics(registry.clone());
-    let catalog = Catalog::new(2);
-    // Force parallel dispatch on single-core CI hosts: this test wants
-    // the per-partition scan tasks, not the core-count heuristic.
-    let session = SessionConfig::new().parallel_min_cores(1).build_on(catalog, cluster);
+    let session = SessionConfig::new().build_on(Catalog::new(2), registry.clone());
     session
         .run_script(
             r#"
@@ -204,8 +198,8 @@ fn query_batch_metrics_appear() {
             .unwrap();
     }
 
-    // Sequential vectorized scan: batches counted, row histogram fed,
-    // and the weak-ref probe sees the cached vectorized plan.
+    // Vectorized scan: batches counted, row histogram fed, and the
+    // weak-ref probe sees the cached vectorized plan.
     session.query("SELECT VALUE p.id FROM Points p WHERE p.score > 3").unwrap();
     let snap = registry.snapshot();
     let built = snap.counter(names::QUERY_BATCHES_BUILT).expect("batches counter");
@@ -222,15 +216,6 @@ fn query_batch_metrics_appear() {
     assert!(snap.counter(names::QUERY_BATCH_FALLBACKS).unwrap_or_default() >= 1);
     assert_eq!(snap.counter(names::QUERY_BATCHES_BUILT), Some(built), "fallback built batches");
 
-    // Parallel mode: per-partition scan tasks build batches too.
-    session.set_mode(ExecMode::Parallel);
-    session.query("SELECT VALUE p.id FROM Points p WHERE p.score > 3").unwrap();
-    let snap = registry.snapshot();
-    assert!(
-        snap.counter(names::QUERY_BATCHES_BUILT).unwrap() > built,
-        "parallel scan built no batches"
-    );
-
     // Weak ref: dropping the session (and with it the plan cache) must
     // not leave a live probe behind.
     drop(session);
@@ -242,16 +227,11 @@ fn query_batch_metrics_appear() {
 /// `noindex` hint keeps the scan whole and the counter still.
 #[test]
 fn pk_range_scan_counter_appears() {
-    use idea::hyracks::Cluster;
     use idea::obs::names;
-    use idea::query::{ExecMode, SessionConfig};
+    use idea::query::SessionConfig;
 
-    let cluster = Cluster::with_nodes(2);
     let registry = MetricsRegistry::new();
-    cluster.attach_metrics(registry.clone());
-    let session = SessionConfig::new()
-        .parallel_min_cores(1)
-        .build_on(idea::query::Catalog::new(2), cluster);
+    let session = SessionConfig::new().build_on(idea::query::Catalog::new(2), registry.clone());
     session
         .run_script(
             r#"
@@ -286,9 +266,49 @@ fn pk_range_scan_counter_appears() {
         .unwrap();
     assert_eq!(session.last_stats().pk_range_scans, 0);
     assert_eq!(ranged(&registry), 4);
+}
 
-    // Parallel scan tasks bound their own partition's scan.
-    session.set_mode(ExecMode::Parallel);
-    assert_eq!(session.query(q).unwrap().as_array().unwrap().len(), 50);
-    assert_eq!(ranged(&registry), 6);
+/// Sessions from `IngestionEngine::new_session` — the path the server
+/// and the benchmark take — record their `query/*` instruments into
+/// the engine's own registry.
+#[test]
+fn engine_sessions_report_into_engine_metrics() {
+    use idea::obs::names;
+
+    let engine = IngestionEngine::with_nodes(2);
+    engine
+        .run_sqlpp(
+            r#"
+            CREATE TYPE PType AS OPEN { id: int64 };
+            CREATE DATASET Points(PType) PRIMARY KEY id;
+            "#,
+        )
+        .unwrap();
+    let points = engine.catalog().dataset("Points").unwrap();
+    for id in 0..300i64 {
+        points
+            .insert(Value::object([("id", Value::Int(id)), ("score", Value::Int(id % 7))]))
+            .unwrap();
+    }
+    let counter = |name: &str| engine.metrics().snapshot().counter(name).unwrap_or(0);
+    let session = engine.new_session(SessionConfig::new());
+
+    // A vectorized filter builds batches into the engine's registry.
+    let built = counter(names::QUERY_BATCHES_BUILT);
+    let v = session.query("SELECT VALUE p.id FROM Points p WHERE p.score > 3").unwrap();
+    assert_eq!(v.as_array().unwrap().len(), (0..300).filter(|id| id % 7 > 3).count());
+    assert!(session.last_stats().batches_built > 0, "filter did not vectorize");
+    assert!(counter(names::QUERY_BATCHES_BUILT) > built, "query/batch/built did not move");
+
+    // A pk-bounded stream counts one bounded scan per partition.
+    let ranged = counter(names::QUERY_SCAN_PK_RANGE);
+    let mut stream = session
+        .query_stream("SELECT VALUE p.id FROM Points p WHERE p.id >= 10 AND p.id < 20")
+        .unwrap();
+    let mut rows = 0;
+    while let Some(b) = stream.next_batch().unwrap() {
+        rows += b.len();
+    }
+    assert_eq!(rows, 10);
+    assert_eq!(counter(names::QUERY_SCAN_PK_RANGE), ranged + 2, "query/scan/pk_range did not move");
 }

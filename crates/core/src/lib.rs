@@ -12,8 +12,10 @@
 //! ```
 //!
 //! The computing job is **predeployed** (compiled once, invoked per
-//! batch) and each invocation builds fresh UDF intermediate state from a
-//! dataset snapshot — paper §5.1's freshness guarantee.
+//! batch) and each invocation pins a fresh dataset snapshot for its UDF
+//! intermediate state — paper §5.1's freshness guarantee. The state is
+//! rebuilt only when that snapshot moved; while the reference data is
+//! unchanged, every invocation on every node reuses one build.
 //!
 //! Entry points:
 //!

@@ -53,8 +53,9 @@ pub(crate) struct FeedShared {
     pub stop: Arc<AtomicBool>,
     /// Supervisor-requested abort of *this attempt* (fresh per attempt).
     pub abort: Arc<AtomicBool>,
-    /// Shared compiled plans — the predeployed aspect of the computing
-    /// job (reused across invocations when `spec.predeploy`).
+    /// Shared compiled plans and the UDF build sides memoized with them
+    /// — the predeployed aspect of the computing job (reused across
+    /// invocations and nodes when `spec.predeploy`).
     pub plan_cache: Arc<PlanCache>,
     /// Model-3 contexts, one per node, surviving across computing jobs.
     pub stream_ctxs: Arc<Mutex<HashMap<usize, ExecContext>>>,
@@ -559,10 +560,12 @@ impl UdfEvaluator {
 impl Operator for UdfEvaluator {
     fn open(&mut self, ctx: &mut TaskContext) -> idea_hyracks::Result<()> {
         let fresh = || {
-            ExecContext::with_plan_cache(
+            let mut c = ExecContext::with_plan_cache(
                 self.shared.catalog.clone(),
                 self.shared.plan_cache.clone(),
-            )
+            );
+            c.attach_metrics(self.shared.obs.registry().clone());
+            c
         };
         self.ctx_ = Some(match self.shared.spec.model {
             ComputingModel::PerBatch | ComputingModel::PerRecord => fresh(),

@@ -7,6 +7,10 @@
 /// Partition scans bounded by a primary-key range (one per partition
 /// snapshot a range scan seeked), across every executor.
 pub const QUERY_SCAN_PK_RANGE: &str = "query/scan/pk_range";
+/// Hash-join or materialized build sides an execution context reused
+/// from its shared plan cache instead of rebuilding, because the
+/// reference snapshot had not moved since the build.
+pub const QUERY_BUILD_REUSED: &str = "query/build/reused";
 /// Columnar batches built by vectorized scans.
 pub const QUERY_BATCHES_BUILT: &str = "query/batch/built";
 /// Rows-per-batch distribution of vectorized scans (histogram; the

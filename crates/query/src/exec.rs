@@ -12,6 +12,16 @@
 //!   paper's chosen design;
 //! * **Model 3 (stream/static)** — one context for the whole feed:
 //!   fastest, but blind to reference-data updates.
+//!
+//! "Refreshed" means the state equals the reference snapshot the context
+//! pinned at its first read, not that it is rebuilt from scratch. A
+//! hash-join or materialized build side whose inputs are pure (see
+//! [`FromPlan::pure_build`](crate::plan::FromPlan::pure_build)) is
+//! memoized in the shared [`PlanCache`] next to its snapshot, and a later
+//! context that pins exactly the same view
+//! ([`DatasetSnapshot::same_view`]) reuses it: under Models 1 and 2 the
+//! state is refreshed per record or per job, but rebuilt only when the
+//! snapshot moved. Contexts with a private plan cache rebuild every time.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -118,13 +128,46 @@ impl std::fmt::Debug for Env {
 /// batches; contexts with a private cache re-plan (the no-predeploy
 /// ablation).
 ///
+/// The cache also memoizes pure build sides (hash tables and
+/// materialized rows) per build site — `(block id, FROM item)` — together
+/// with the reference snapshots they were built from. A context that pins
+/// the same view of the dataset reuses the build instead of scanning
+/// again; any write to the dataset moves the view, and the next context
+/// rebuilds and replaces the entry. Retention: one entry per build site,
+/// at most 64 sites (the memo is cleared wholesale beyond that, so a
+/// session's ad-hoc statements cannot grow it without bound), all
+/// dropped on DDL.
+///
 /// Plans embed access-method choices (index vs. materialize), so the
 /// cache tracks the [`Catalog::version`] it was filled against and
 /// clears itself when DDL has moved the catalog past it.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     plans: RwLock<HashMap<u32, Arc<BlockPlan>>>,
+    builds: RwLock<HashMap<BuildSite, SharedBuild>>,
     validated_version: std::sync::atomic::AtomicU64,
+}
+
+/// Build sites a [`PlanCache`] memoizes before it clears its memo.
+const MAX_SHARED_BUILDS: usize = 64;
+
+/// A build site: `(block id, FROM-item index)`.
+type BuildSite = (u32, usize);
+
+/// A memoized build side and the snapshots it was built from (held, so
+/// their storage cannot be freed and reused under a later pointer
+/// comparison).
+struct SharedBuild {
+    snaps: Arc<Vec<DatasetSnapshot>>,
+    state: Arc<BuildState>,
+}
+
+impl std::fmt::Debug for SharedBuild {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SharedBuild")
+            .field("rows", &self.state.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl PlanCache {
@@ -145,16 +188,42 @@ impl PlanCache {
         self.plans.read().values().filter(|p| p.vec.is_some()).count()
     }
 
-    /// Drops every cached plan if the catalog has seen DDL since the
-    /// cache was last validated (CREATE/DROP INDEX or DATASET can change
-    /// the right access path for any block).
+    /// Drops every cached plan and memoized build if the catalog has
+    /// seen DDL since the cache was last validated (CREATE/DROP INDEX or
+    /// DATASET can change the right access path for any block, and a
+    /// dropped dataset's builds must not stay pinned).
     pub fn validate(&self, catalog_version: u64) {
         use std::sync::atomic::Ordering;
         if self.validated_version.load(Ordering::Acquire) != catalog_version {
             let mut plans = self.plans.write();
             plans.clear();
+            self.builds.write().clear();
             self.validated_version.store(catalog_version, Ordering::Release);
         }
+    }
+
+    /// The memoized build for `site`, if it was built from exactly the
+    /// views `snaps` pins.
+    fn shared_build(&self, site: BuildSite, snaps: &[DatasetSnapshot]) -> Option<Arc<BuildState>> {
+        let builds = self.builds.read();
+        let memo = builds.get(&site)?;
+        let same = memo.snaps.len() == snaps.len()
+            && memo.snaps.iter().zip(snaps).all(|(a, b)| a.same_view(b));
+        same.then(|| memo.state.clone())
+    }
+
+    /// Memoizes `state`, built from `snaps`, as `site`'s build.
+    fn share_build(
+        &self,
+        site: BuildSite,
+        snaps: Arc<Vec<DatasetSnapshot>>,
+        state: Arc<BuildState>,
+    ) {
+        let mut builds = self.builds.write();
+        if builds.len() >= MAX_SHARED_BUILDS && !builds.contains_key(&site) {
+            builds.clear();
+        }
+        builds.insert(site, SharedBuild { snaps, state });
     }
 }
 
@@ -166,6 +235,10 @@ pub struct ExecStats {
     pub hash_build_rows: u64,
     pub hash_probes: u64,
     pub materializations: u64,
+    /// Build sides reused from the shared [`PlanCache`] because their
+    /// reference snapshot had not moved (`hash_builds` and
+    /// `materializations` count only real builds).
+    pub build_reuses: u64,
     pub index_probes: u64,
     pub rows_scanned: u64,
     /// Partition scans bounded by a primary-key range.
@@ -230,8 +303,11 @@ pub struct ExecContext {
     /// benchmarks and differential tests turn it off for the row
     /// oracle).
     pub vectorize: bool,
-    /// Registry for `query/batch/*` instruments, when attached.
+    /// Registry for `query/*` instruments, when attached.
     pub(crate) metrics: Option<Arc<idea_obs::MetricsRegistry>>,
+    /// `query/batch/fallbacks`, resolved once at attach: it moves per
+    /// block evaluation, i.e. per record inside an enrichment UDF.
+    fallbacks: Option<Arc<idea_obs::Counter>>,
 }
 
 /// UDF recursion limit.
@@ -257,12 +333,15 @@ impl ExecContext {
             depth: 0,
             vectorize: true,
             metrics: None,
+            fallbacks: None,
         }
     }
 
-    /// Attaches a metrics registry; vectorized scans record
-    /// `query/batch/*` instruments into it.
+    /// Attaches a metrics registry; the context records its `query/*`
+    /// instruments (batches, fallbacks, bounded scans, reused builds)
+    /// into it.
     pub fn attach_metrics(&mut self, registry: Arc<idea_obs::MetricsRegistry>) {
+        self.fallbacks = Some(registry.counter(idea_obs::names::QUERY_BATCH_FALLBACKS));
         self.metrics = Some(registry);
     }
 
@@ -282,10 +361,12 @@ impl ExecContext {
     /// Drops all per-context intermediate state (snapshot pins, build
     /// sides, caches, native-UDF instances) while keeping the plan
     /// cache — equivalent to starting a fresh context for the next
-    /// batch, without re-planning. Plans survive only if no DDL has
-    /// touched the catalog since they were compiled: refresh validates
-    /// the plan cache against the catalog version, so a CREATE/DROP
-    /// INDEX or DROP DATASET between batches forces re-planning.
+    /// batch, without re-planning; a build memoized in the cache is
+    /// reused only if the re-pinned snapshot has not moved. Plans survive
+    /// only if no DDL has touched the catalog since they were compiled:
+    /// refresh validates the plan cache against the catalog version, so
+    /// a CREATE/DROP INDEX or DROP DATASET between batches forces
+    /// re-planning.
     pub fn refresh(&mut self) {
         self.snapshots.clear();
         self.builds.clear();
@@ -382,8 +463,8 @@ pub fn eval_block(block: &SelectBlock, env: &Env, ctx: &mut ExecContext) -> Resu
         }
         if plan.vec_fallback {
             ctx.stats.vec_fallbacks += 1;
-            if let Some(m) = &ctx.metrics {
-                m.counter(idea_obs::names::QUERY_BATCH_FALLBACKS).inc();
+            if let Some(c) = &ctx.fallbacks {
+                c.inc();
             }
         }
     }
@@ -642,78 +723,99 @@ fn apply_filters(
     Ok(out)
 }
 
-/// Materializes (and caches) the filtered rows of a dataset FROM item.
+/// The build side of dataset FROM item `fp`: this context's own, else
+/// the plan cache's memoized one if the snapshot just pinned is the view
+/// it was built from (pure builds only), else a fresh `build` over the
+/// pinned snapshots — memoized in turn when pure.
+fn build_side(
+    block: &SelectBlock,
+    fp: &crate::plan::FromPlan,
+    ctx: &mut ExecContext,
+    build: impl FnOnce(&[DatasetSnapshot], &mut ExecContext) -> Result<BuildState>,
+) -> Result<Arc<BuildState>> {
+    let site = (block.id, fp.item_idx);
+    if let Some(s) = ctx.builds.get(&site) {
+        return Ok(s.clone());
+    }
+    let FromSource::Name(ds_name) = &block.from[fp.item_idx].source else {
+        return Err(QueryError::Eval("a build side requires a dataset".into()));
+    };
+    let snaps = ctx.snapshots_for(ds_name)?;
+    let shared = fp.pure_build.then(|| ctx.plan_cache.shared_build(site, &snaps)).flatten();
+    let state = match shared {
+        Some(state) => {
+            ctx.stats.build_reuses += 1;
+            if let Some(m) = &ctx.metrics {
+                m.counter(idea_obs::names::QUERY_BUILD_REUSED).inc();
+            }
+            state
+        }
+        None => {
+            let state = Arc::new(build(&snaps, ctx)?);
+            if fp.pure_build {
+                ctx.plan_cache.share_build(site, snaps, state.clone());
+            }
+            state
+        }
+    };
+    ctx.builds.insert(site, state.clone());
+    Ok(state)
+}
+
+/// The filtered rows of a dataset FROM item.
 fn materialize(
     block: &SelectBlock,
     fp: &crate::plan::FromPlan,
     ctx: &mut ExecContext,
 ) -> Result<Arc<BuildState>> {
-    let key = (block.id, fp.item_idx);
-    if let Some(s) = ctx.builds.get(&key) {
-        return Ok(s.clone());
-    }
-    let FromSource::Name(ds_name) = &block.from[fp.item_idx].source else {
-        return Err(QueryError::Eval("materialize requires a dataset".into()));
-    };
-    let snaps = ctx.snapshots_for(ds_name)?;
-    let range = ctx.scan_range(fp.key_range.as_ref(), snaps.len());
-    let mut rows = Vec::new();
-    for s in snaps.iter() {
-        rows.extend(s.iter_range(range));
-    }
-    ctx.stats.rows_scanned += rows.len() as u64;
-    ctx.stats.materializations += 1;
-    let rows = apply_filters(rows, &fp.self_filter, block, fp, ctx)?;
-    let state = Arc::new(BuildState::Rows(rows));
-    ctx.builds.insert(key, state.clone());
-    Ok(state)
+    build_side(block, fp, ctx, |snaps, ctx| {
+        let range = ctx.scan_range(fp.key_range.as_ref(), snaps.len());
+        let mut rows = Vec::new();
+        for s in snaps {
+            rows.extend(s.iter_range(range));
+        }
+        ctx.stats.rows_scanned += rows.len() as u64;
+        ctx.stats.materializations += 1;
+        Ok(BuildState::Rows(apply_filters(rows, &fp.self_filter, block, fp, ctx)?))
+    })
 }
 
-/// Builds (and caches) the hash table for an equality-join FROM item.
+/// The hash table for an equality-join FROM item.
 fn hash_build(
     block: &SelectBlock,
     fp: &crate::plan::FromPlan,
     build_keys: &[Expr],
     ctx: &mut ExecContext,
 ) -> Result<Arc<BuildState>> {
-    let key = (block.id, fp.item_idx);
-    if let Some(s) = ctx.builds.get(&key) {
-        return Ok(s.clone());
-    }
-    let FromSource::Name(ds_name) = &block.from[fp.item_idx].source else {
-        return Err(QueryError::Eval("hash build requires a dataset".into()));
-    };
-    let alias = block.from[fp.item_idx].alias.clone();
-    let snaps = ctx.snapshots_for(ds_name)?;
-    let mut slot = BindSlot::new(&Env::new(), alias);
-    let mut map: HashMap<Vec<Value>, Vec<Arc<Value>>> = HashMap::new();
-    let mut n_rows = 0u64;
-    for s in snaps.iter() {
-        'row: for rec in s.iter() {
-            n_rows += 1;
-            let rec = rec.clone();
-            let env = slot.set(rec.clone());
-            for f in &fp.self_filter {
-                if !eval_expr(f, env, ctx)?.is_true() {
-                    continue 'row;
+    build_side(block, fp, ctx, |snaps, ctx| {
+        let range = ctx.scan_range(fp.key_range.as_ref(), snaps.len());
+        let mut slot = BindSlot::new(&Env::new(), block.from[fp.item_idx].alias.clone());
+        let mut map: HashMap<Vec<Value>, Vec<Arc<Value>>> = HashMap::new();
+        let mut n_rows = 0u64;
+        for s in snaps {
+            'row: for rec in s.iter_range(range) {
+                n_rows += 1;
+                let env = slot.set(rec.clone());
+                for f in &fp.self_filter {
+                    if !eval_expr(f, env, ctx)?.is_true() {
+                        continue 'row;
+                    }
                 }
+                let mut kv = Vec::with_capacity(build_keys.len());
+                for k in build_keys {
+                    kv.push(eval_expr(k, env, ctx)?);
+                }
+                if kv.iter().any(Value::is_unknown) {
+                    continue; // unknown keys never join
+                }
+                map.entry(kv).or_default().push(rec);
             }
-            let mut kv = Vec::with_capacity(build_keys.len());
-            for k in build_keys {
-                kv.push(eval_expr(k, env, ctx)?);
-            }
-            if kv.iter().any(Value::is_unknown) {
-                continue; // unknown keys never join
-            }
-            map.entry(kv).or_default().push(rec);
         }
-    }
-    ctx.stats.rows_scanned += n_rows;
-    ctx.stats.hash_builds += 1;
-    ctx.stats.hash_build_rows += n_rows;
-    let state = Arc::new(BuildState::Hash(map));
-    ctx.builds.insert(key, state.clone());
-    Ok(state)
+        ctx.stats.rows_scanned += n_rows;
+        ctx.stats.hash_builds += 1;
+        ctx.stats.hash_build_rows += n_rows;
+        Ok(BuildState::Hash(map))
+    })
 }
 
 /// One group during grouped evaluation: the group environment (first

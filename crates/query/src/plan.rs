@@ -10,7 +10,8 @@
 //!   build a hash table keyed on the reference-side expressions; probe
 //!   per record. Under the per-batch model the build is refreshed every
 //!   computing job — exactly the "intermediate state" the paper keeps
-//!   fresh;
+//!   fresh — and rebuilt only when the reference snapshot moved (see
+//!   [`PlanCache`](crate::PlanCache));
 //! * **index nested-loop** (case 3): probe a live B-tree/primary-key
 //!   index (with the `indexnl` hint, as in AsterixDB) or an R-tree for
 //!   spatial predicates (chosen automatically when the index exists,
@@ -19,11 +20,13 @@
 //! * **materialize** (fallback): snapshot the dataset once per context
 //!   and filter per record — the plan shape of similarity joins (Fuzzy
 //!   Suspects) and region-containment joins that a point R-tree cannot
-//!   serve. When self-filter conjuncts bound the primary key
-//!   (`t.id >= 1000 AND t.id < 1100`), the scan carries that
-//!   [`KeyRange`] and seeks the LSM's sorted runs instead of reading the
-//!   whole dataset — the primary index's range access, unless
-//!   `/*+ noindex */` forbids it.
+//!   serve.
+//!
+//! When self-filter conjuncts of a materialized or hash-built item bound
+//! the primary key (`t.id >= 1000 AND t.id < 1100`), its scan carries
+//! that [`KeyRange`] and seeks the LSM's sorted runs instead of reading
+//! the whole dataset — the primary index's range access, unless
+//! `/*+ noindex */` forbids it.
 //!
 //! Each WHERE conjunct is assigned to exactly one place: a build-side
 //! filter, a probe key, a per-item residual, or the post-LET filter.
@@ -77,11 +80,16 @@ pub struct FromPlan {
     pub self_filter: Vec<Expr>,
     /// Conjuncts applied in the join loop once this item is bound.
     pub residual: Vec<Expr>,
-    /// Primary-key bound for a [`AccessPath::Materialize`] dataset scan,
-    /// derived from `self_filter` (which keeps every conjunct, so the
-    /// bound only skips rows the filter would reject). `None` scans the
-    /// whole dataset.
+    /// Primary-key bound for a [`AccessPath::Materialize`] or
+    /// [`AccessPath::HashBuild`] dataset scan, derived from `self_filter`
+    /// (which keeps every conjunct, so the bound only skips rows the
+    /// filter would reject). `None` scans the whole dataset.
     pub key_range: Option<KeyRange>,
+    /// Whether the build side — `self_filter` and, for a hash build, the
+    /// build keys — depends on nothing but the scanned rows: no `$param`,
+    /// no subquery, no call that is not a builtin. Only such a build may
+    /// be shared across contexts through the [`PlanCache`](crate::PlanCache).
+    pub pure_build: bool,
 }
 
 /// Plan for a whole block.
@@ -130,6 +138,26 @@ pub fn has_aggregate(e: &Expr) -> bool {
         Expr::Subquery(_) | Expr::Literal(_) | Expr::Ident(_) | Expr::Param(_) | Expr::Wildcard => {
             false
         }
+    }
+}
+
+/// Whether `e` reads nothing but its bound variables: no `$param` (bound
+/// per context), no subquery and no non-builtin call (either may read
+/// other datasets).
+fn row_only(e: &Expr) -> bool {
+    match e {
+        Expr::Call { name, args } => crate::expr::is_builtin(name) && args.iter().all(row_only),
+        Expr::Field(b, _) | Expr::Not(b) | Expr::Neg(b) | Expr::Exists(b) => row_only(b),
+        Expr::Index(a, b) | Expr::Binary(_, a, b) | Expr::In(a, b) => row_only(a) && row_only(b),
+        Expr::Case { operand, whens, otherwise } => {
+            operand.as_deref().is_none_or(row_only)
+                && whens.iter().all(|(c, v)| row_only(c) && row_only(v))
+                && otherwise.as_deref().is_none_or(row_only)
+        }
+        Expr::Object(fields) => fields.iter().all(|(_, v)| row_only(v)),
+        Expr::Array(items) => items.iter().all(row_only),
+        Expr::Literal(_) | Expr::Ident(_) | Expr::Wildcard => true,
+        Expr::Subquery(_) | Expr::Param(_) => false,
     }
 }
 
@@ -414,12 +442,26 @@ pub fn plan_block(block: &SelectBlock, catalog: &Catalog) -> Result<BlockPlan> {
             }
         };
         let key_range = match (&path, &item.source) {
-            (AccessPath::Materialize, FromSource::Name(ds_name)) if hint != Some("noindex") => {
+            (AccessPath::Materialize | AccessPath::HashBuild { .. }, FromSource::Name(ds_name))
+                if hint != Some("noindex") =>
+            {
                 pk_range(catalog, ds_name, alias, &self_filter)
             }
             _ => None,
         };
-        from_order.push(FromPlan { item_idx: idx, path, self_filter, residual, key_range });
+        let build_keys = match &path {
+            AccessPath::HashBuild { build_keys, .. } => build_keys.as_slice(),
+            _ => &[],
+        };
+        let pure_build = self_filter.iter().chain(build_keys).all(row_only);
+        from_order.push(FromPlan {
+            item_idx: idx,
+            path,
+            self_filter,
+            residual,
+            key_range,
+            pure_build,
+        });
     }
 
     let has_aggregates = match &block.select {
@@ -591,12 +633,13 @@ fn pk_bound(c: &Expr, alias: &str, pk: &str, class: KeyClass) -> Option<KeyRange
     })
 }
 
-/// The primary-key range a `Materialize` scan of `ds_name` may be
-/// bounded by: the intersection of every bounding conjunct in the
-/// *leading* run of infallible self-filter conjuncts. Stopping at the
-/// first conjunct that could raise an error keeps errors intact: the
-/// filter evaluates conjuncts in order, so a row outside the range is
-/// rejected by a bounding conjunct before any later conjunct sees it.
+/// The primary-key range a `Materialize` or `HashBuild` scan of
+/// `ds_name` may be bounded by: the intersection of every bounding
+/// conjunct in the *leading* run of infallible self-filter conjuncts.
+/// Stopping at the first conjunct that could raise an error keeps errors
+/// intact: the filter evaluates conjuncts in order, so a row outside the
+/// range is rejected by a bounding conjunct before any later conjunct —
+/// or a hash build's keys — sees it.
 /// `None` when the key's declared type is neither numeric nor string, or
 /// nothing bounds it (OR, non-key fields and parameters never do).
 fn pk_range(

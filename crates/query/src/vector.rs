@@ -527,7 +527,7 @@ pub(crate) fn compile(
                     alias: item1.alias.clone(),
                     fields: Vec::new(),
                     eager: Vec::new(),
-                    key_range: None,
+                    key_range: fp1.key_range.clone(),
                 },
                 self_filter: self_f,
                 build_keys: bk,

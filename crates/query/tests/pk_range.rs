@@ -9,7 +9,9 @@
 //! evaluator (`Session::query`), the lazy scan stream
 //! (`Session::query_stream`), and a LET block that keeps the row
 //! interpreter — and must read no more rows than the range holds, so the
-//! bounded path provably fired.
+//! bounded path provably fired. The same predicates also run on the
+//! build side of an equality join, through the vectorized join and the
+//! row interpreter's hash build.
 
 use std::sync::Arc;
 
@@ -217,6 +219,67 @@ fn run_differential(rows: Vec<Row>, deletes: Vec<i64>, queries: Vec<(usize, i64,
         let st = vectorized.last_stats();
         assert_eq!(st.batches_built, 0, "LET block vectorized: {with_let}");
         check_stats("row path", &with_let, st.pk_range_scans, st.rows_scanned, in_range);
+
+        check_join(&oracle, &vectorized, &p, in_range);
+    }
+}
+
+/// The same predicate on the *build* side of an equality join: the
+/// driver `o` (the other dataset, scanned whole) joins on the key, so the
+/// hash build over `{ds}` carries the bound. Both the vectorized join and
+/// the row interpreter's hash build must equal the `noindex` oracle and
+/// scan at most the driver plus the in-range build rows.
+fn check_join(oracle: &Session, vectorized: &Session, p: &Pred, in_range: Option<u64>) {
+    if p.text.contains(" = ") {
+        // A literal equality makes the planner drive from the filtered
+        // item (most selective first): there is no bounded build side.
+        return;
+    }
+    let (ds, a, key) = (p.dataset, p.alias, p.key);
+    // Row `k` of `T` pairs with row `"k{k:03}"` of `S` (`S.n` = `T.id`).
+    let (driver, join_on, o_key) = match ds {
+        "T" => ("S", "t.id = o.n", "sid"),
+        _ => ("T", "s.n = o.id", "id"),
+    };
+    let q = |hint: &str| {
+        format!(
+            "SELECT o.{o_key} AS o, {a}.{key} AS b FROM {driver} o, {ds} {hint} {a}
+             WHERE {join_on} AND ({})",
+            p.text
+        )
+    };
+    let (plain, noindex) = (q(""), q("/*+ noindex */"));
+    let with_let = format!(
+        "SELECT o.{o_key} AS o, x AS b FROM {driver} o, {ds} {a} LET x = {a}.{key}
+         WHERE {join_on} AND ({})",
+        p.text
+    );
+    let want = oracle.query(&noindex).unwrap();
+    assert_eq!(oracle.last_stats().pk_range_scans, 0, "noindex must not bound: {noindex}");
+    let count = |q: String| oracle.query(&q).unwrap().as_array().unwrap()[0].as_int().unwrap();
+    let drivers = count(format!("SELECT VALUE count(*) FROM {driver} o")) as u64;
+    // With no driver row the build side is never scanned at all.
+    let in_range = in_range.filter(|_| drivers > 0);
+
+    for (vec, q) in [(true, &plain), (false, &with_let)] {
+        let what = if vec { "vectorized join" } else { "row join" };
+        assert_eq!(vectorized.query(q).unwrap(), want, "{what}: {q}");
+        let st = vectorized.last_stats();
+        assert_eq!(st.batches_built > 0, vec && drivers > 0, "{what} ran the wrong path: {q}");
+        match in_range {
+            Some(n) => {
+                assert!(st.pk_range_scans > 0, "{what}: no bounded build for {q} ({key})");
+                assert!(
+                    st.rows_scanned <= drivers + n,
+                    "{what}: scanned {} rows: {q}",
+                    st.rows_scanned
+                );
+            }
+            None if p.bound.is_none() => {
+                assert_eq!(st.pk_range_scans, 0, "{what}: bounded a build it must not: {q}")
+            }
+            None => {}
+        }
     }
 }
 

@@ -499,6 +499,13 @@ impl DatasetSnapshot {
         self.snap.iter_range(range).map(|(_, v)| v)
     }
 
+    /// Whether `other` pins exactly the same view of the partition
+    /// ([`TreeSnapshot::same_view`](crate::lsm::TreeSnapshot::same_view)):
+    /// `true` only if no write reached the partition between the two.
+    pub fn same_view(&self, other: &DatasetSnapshot) -> bool {
+        self.snap.same_view(&other.snap)
+    }
+
     /// A page-level read handle when this snapshot is exactly one
     /// columnar component with no memtable overlay — the shape whose
     /// typed pages a vectorized scan can slice into batches directly,
@@ -635,6 +642,32 @@ mod tests {
         assert_eq!(rec.as_object().unwrap().get("word"), Some(&Value::str("bomb")));
         // A fresh snapshot (the next computing job) sees both.
         assert_eq!(ds.snapshot().len(), 2);
+    }
+
+    #[test]
+    fn same_view_until_a_write_moves_the_snapshot() {
+        let ds = words_dataset();
+        ds.insert(word(1, "US", "bomb")).unwrap();
+        ds.insert(word(2, "US", "gun")).unwrap();
+        let mut prev = ds.snapshot();
+        assert!(prev.same_view(&ds.snapshot()), "an unwritten tree yields one view");
+        let writes: [&dyn Fn(); 5] = [
+            &|| ds.upsert(word(1, "US", "threat")).unwrap(),
+            &|| assert!(ds.delete(&Value::Int(2)).unwrap()),
+            &|| ds.flush(),
+            &|| {
+                ds.insert(word(3, "FR", "bombe")).unwrap();
+                ds.flush();
+            },
+            &|| ds.merge(),
+        ];
+        for (i, write) in writes.iter().enumerate() {
+            write();
+            let next = ds.snapshot();
+            assert!(!prev.same_view(&next), "write {i} must move the view");
+            assert!(next.same_view(&ds.snapshot()), "view {i} is stable while unwritten");
+            prev = next;
+        }
     }
 
     #[test]

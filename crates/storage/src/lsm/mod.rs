@@ -1119,6 +1119,16 @@ impl TreeSnapshot {
         SnapshotIter { heads, sources }
     }
 
+    /// Whether `other` is exactly this view: the same memoized memtable
+    /// run and the same pinned component stack. Both stay shared while
+    /// the tree is not written (see [`LsmTree::snapshot`]); any put,
+    /// delete, seal, flush, merge or bulk load replaces one of them.
+    /// Holding either snapshot keeps its `Arc`s alive, so a pointer match
+    /// can never come from a freed-and-reused allocation.
+    pub fn same_view(&self, other: &TreeSnapshot) -> bool {
+        Arc::ptr_eq(&self.mem, &other.mem) && Arc::ptr_eq(&self.components, &other.components)
+    }
+
     /// Live-entry count (linear in snapshot size).
     pub fn len(&self) -> usize {
         self.iter().count()

@@ -38,6 +38,8 @@ run cargo test --offline -q -p idea-query --test columnar_scan
 # Primary-key range access: every executor's bounded scan must equal the
 # `noindex` row-path oracle and read no more rows than the range holds.
 run cargo test --offline -q -p idea-query --test pk_range
+# Build-side reuse: shared-cache contexts must equal always-rebuild ones.
+run cargo test --offline -q -p idea-query --test build_reuse
 # Serving latency: sequential tiny queries over loopback must not pay a
 # Nagle/delayed-ACK stall (~40 ms each) per response.
 run cargo test --offline -q -p idea-serve --test server tiny_queries_answer_without_a_nagle_stall

@@ -268,6 +268,20 @@ fn pk_range_scan_counter_appears() {
     assert_eq!(ranged(&registry), 4);
 }
 
+/// The computing job's `query/*` instruments reach the engine registry:
+/// a SQL++ UDF over reference data that no one writes reuses its hash
+/// build across computing jobs and nodes instead of rebuilding per job.
+#[test]
+fn udf_build_reuse_counter_appears() {
+    use idea::obs::names;
+
+    let (engine, report) = run_feed(2, 150, 25);
+    let reused = engine.metrics().snapshot().counter(names::QUERY_BUILD_REUSED).unwrap_or(0);
+    assert!(reused > 0, "no build reused over {} computing jobs", report.computing_jobs);
+    // At most one context per node per job, each reusing its one build.
+    assert!(reused <= 2 * report.computing_jobs, "{reused} reuses");
+}
+
 /// Sessions from `IngestionEngine::new_session` — the path the server
 /// and the benchmark take — record their `query/*` instruments into
 /// the engine's own registry.

@@ -22,6 +22,12 @@
 //! a pipeline ever starts; a spec that loads cleanly cannot fail on
 //! spec grounds at runtime. `idea-core` compiles a loaded spec into its
 //! executable `FeedSpec`.
+//!
+//! `batch-size` is the most records each node's computing job takes;
+//! jobs run full only while the intake is backlogged. So
+//! `checkpoint-interval`, which counts computing jobs rather than
+//! records, commits more often in wall-clock time on a slow source,
+//! whose jobs are small and frequent.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use idea_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsScope};
+use idea_obs::{Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry, MetricsScope};
 use parking_lot::Mutex;
 
 /// Live per-feed instruments updated by pipeline operators. All handles
@@ -59,7 +59,6 @@ pub struct FeedMetrics {
 struct Timing {
     started: Option<Instant>,
     finished: Option<Instant>,
-    batch_durations: Vec<Duration>,
 }
 
 impl FeedMetrics {
@@ -102,7 +101,6 @@ impl FeedMetrics {
     pub fn record_batch(&self, took: Duration) {
         self.computing_jobs.inc();
         self.batch_latency.record(took);
-        self.timing.lock().batch_durations.push(took);
     }
 
     /// Builds the final report.
@@ -114,8 +112,7 @@ impl FeedMetrics {
             _ => Duration::ZERO,
         };
         let stored = self.records_stored.get();
-        let jobs = self.computing_jobs.get();
-        let batch_nanos: u64 = timing.batch_durations.iter().map(|d| d.as_nanos() as u64).sum();
+        let batch_latency = self.batch_latency.summarize();
         IngestionReport {
             records_ingested: self.records_ingested.get(),
             parse_errors: self.parse_errors.get(),
@@ -123,15 +120,15 @@ impl FeedMetrics {
             records_enriched: self.records_enriched.get(),
             records_stored: stored,
             records_deleted: self.records_deleted.get(),
-            computing_jobs: jobs,
+            computing_jobs: self.computing_jobs.get(),
             dead_letters: self.dead_letters.get(),
             retries: self.retries.get(),
             restarts: self.restarts.get(),
             checkpoints: self.checkpoints.get(),
             elapsed,
             throughput: if elapsed.is_zero() { 0.0 } else { stored as f64 / elapsed.as_secs_f64() },
-            avg_refresh_period: Duration::from_nanos(batch_nanos.checked_div(jobs).unwrap_or(0)),
-            batch_durations: timing.batch_durations.clone(),
+            avg_refresh_period: batch_latency.mean(),
+            batch_latency,
         }
     }
 }
@@ -173,8 +170,10 @@ pub struct IngestionReport {
     /// Mean computing-job execution time — the paper's "refresh period"
     /// (Figure 26).
     pub avg_refresh_period: Duration,
-    /// Per-batch execution times.
-    pub batch_durations: Vec<Duration>,
+    /// Distribution of computing-job execution times, from the feed's
+    /// `batch_latency` histogram (bounded memory however many jobs run;
+    /// quantiles are bucket upper bounds).
+    pub batch_latency: HistogramSummary,
 }
 
 #[cfg(test)]
@@ -194,7 +193,8 @@ mod tests {
         assert_eq!(r.computing_jobs, 2);
         assert_eq!(r.avg_refresh_period, Duration::from_millis(20));
         assert!(r.throughput > 0.0);
-        assert_eq!(r.batch_durations.len(), 2);
+        assert_eq!(r.batch_latency.count, 2);
+        assert_eq!(r.batch_latency.max(), Duration::from_millis(30));
     }
 
     #[test]

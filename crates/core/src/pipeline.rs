@@ -31,7 +31,8 @@ use idea_ft::{
     PauseGate,
 };
 use idea_hyracks::{
-    ConnectorSpec, Frame, FrameSink, HolderMode, JobSpec, Operator, PartitionHolder, TaskContext,
+    ConnectorSpec, Frame, FrameSink, HolderGroup, HolderMode, JobSpec, Operator, PartitionHolder,
+    TaskContext,
 };
 use idea_obs::MetricsScope;
 use idea_query::{apply_function, Catalog, ExecContext, PlanCache};
@@ -383,8 +384,11 @@ impl Operator for CollectorParser {
         ctx: &mut TaskContext,
     ) -> idea_hyracks::Result<()> {
         let holder = self.shared.holder(ctx, &self.shared.spec.intake_holder())?;
-        // During a checkpoint drain the adapters are paused, so blocking
-        // for a full batch would hang — take whatever is buffered.
+        // `batch_size` is a ceiling: the pull waits for a full batch only
+        // while the intake is backlogged, otherwise it takes what has
+        // arrived (blocking only while the holder is empty). During a
+        // checkpoint drain the adapters are paused and this node's
+        // holder may stay empty until resume, so never block there.
         let batch = if self.shared.gate.paused() {
             holder.try_pull_batch(self.shared.spec.batch_size)?
         } else {
@@ -1036,12 +1040,15 @@ pub(crate) fn register_holders(
     cluster: &idea_hyracks::Cluster,
     shared: &Arc<FeedShared>,
 ) -> idea_hyracks::Result<()> {
+    // The intake deals frames round-robin to every node's intake holder.
+    let intakes = HolderGroup::new();
     for node in cluster.nodes() {
         let intake = node.holders().register(
             shared.spec.intake_holder(),
             HolderMode::Passive,
             shared.spec.holder_capacity,
         )?;
+        intake.join_group(&intakes);
         intake.attach_obs(&shared.obs.scope(&format!("holder/intake/node{}", node.id())));
         let storage = node.holders().register(
             shared.spec.storage_holder(),

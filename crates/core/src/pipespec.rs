@@ -117,7 +117,9 @@ pub(crate) fn compile(
 ///   (defaults to `<feed>_dead_letters`);
 /// * `max-restarts`, `restart-backoff-ms` — the feed restart budget;
 /// * `checkpoint-interval` — commit an ingestion checkpoint every N
-///   computing batches.
+///   computing jobs. N counts jobs, not records: a job takes at most
+///   `batch-size` records per node and fills only under backlog, so on
+///   a slow source the same N commits more often in wall-clock time.
 pub(crate) fn apply_supervision_options(
     spec: &mut FeedSpec,
     options: &HashMap<String, String>,

@@ -360,5 +360,5 @@ fn refresh_period_recorded() {
     let report = engine.start_feed(spec).unwrap().wait().unwrap();
     assert!(report.computing_jobs >= 10, "jobs: {}", report.computing_jobs);
     assert!(report.avg_refresh_period > std::time::Duration::ZERO);
-    assert_eq!(report.batch_durations.len() as u64, report.computing_jobs);
+    assert_eq!(report.batch_latency.count, report.computing_jobs);
 }

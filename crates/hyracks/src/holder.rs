@@ -14,8 +14,8 @@
 //! owning job uses.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 
 use idea_adm::Value;
 use idea_obs::{Counter, MetricsScope};
@@ -68,11 +68,34 @@ struct HolderObs {
 
 /// Queue contents guarded by [`HolderQueue::state`]. `poisoned` is
 /// mirrored from the holder's atomic so blocked waiters re-check it
-/// without releasing the lock.
+/// without releasing the lock. `parked` counts producers waiting in
+/// [`PartitionHolder::push_frame`] on a full queue: the backlog signal
+/// that lets [`PartitionHolder::pull_batch`] wait for a full batch.
 #[derive(Default)]
 struct QueueState {
     queue: VecDeque<HolderMsg>,
     poisoned: bool,
+    parked: usize,
+}
+
+/// The intake holders of one feed, one per node. The intake deals its
+/// frames round-robin to all of them, so a producer parked on one
+/// member's full queue also stops delivery to every other member. While
+/// some member's [`PartitionHolder::pull_batch`] has had to wait on an
+/// empty queue, the other members' producers therefore do not park:
+/// their queues run over capacity, by at most about what that pull still
+/// needs, instead of leaving it waiting on frames dealt behind theirs —
+/// forever, if their own computing job has already returned.
+#[derive(Default)]
+pub struct HolderGroup {
+    starving: AtomicUsize,
+    members: RwLock<Vec<Weak<PartitionHolder>>>,
+}
+
+impl HolderGroup {
+    pub fn new() -> Arc<HolderGroup> {
+        Arc::new(HolderGroup::default())
+    }
 }
 
 /// Condvar-guarded bounded queue. Producers park on `not_full`,
@@ -120,6 +143,7 @@ pub struct PartitionHolder {
     /// frame size.
     leftover: parking_lot::Mutex<std::collections::VecDeque<Value>>,
     obs: RwLock<Option<HolderObs>>,
+    group: OnceLock<Arc<HolderGroup>>,
 }
 
 impl std::fmt::Debug for PartitionHolder {
@@ -141,6 +165,41 @@ impl PartitionHolder {
             taken: AtomicU64::new(0),
             leftover: parking_lot::Mutex::new(std::collections::VecDeque::new()),
             obs: RwLock::new(None),
+            group: OnceLock::new(),
+        }
+    }
+
+    /// Makes this holder a member of `group`; a holder joins one group
+    /// at most, later calls are ignored.
+    pub fn join_group(self: &Arc<Self>, group: &Arc<HolderGroup>) {
+        if self.group.set(group.clone()).is_ok() {
+            group.members.write().push(Arc::downgrade(self));
+        }
+    }
+
+    /// Whether a pull on some member of this holder's group is waiting
+    /// for frames; producers then run over capacity instead of parking.
+    fn group_starving(&self) -> bool {
+        self.group.get().is_some_and(|g| g.starving.load(Ordering::Acquire) > 0)
+    }
+
+    /// Marks (`+1`) or clears (`-1`) a starving pull on this holder. On
+    /// marking, wakes the parked producers of the other members so they
+    /// push over capacity; taking each member's lock before notifying
+    /// means a producer that checked the count just before it rose is
+    /// already waiting. Called without this holder's lock.
+    fn set_starving(&self, on: bool) {
+        let Some(group) = self.group.get() else { return };
+        if !on {
+            group.starving.fetch_sub(1, Ordering::AcqRel);
+            return;
+        }
+        group.starving.fetch_add(1, Ordering::AcqRel);
+        for member in group.members.read().iter().filter_map(Weak::upgrade) {
+            if !std::ptr::eq(Arc::as_ptr(&member), self) {
+                drop(member.lock_state());
+                member.q.not_full.notify_all();
+            }
         }
     }
 
@@ -225,15 +284,18 @@ impl PartitionHolder {
         }
         let n = frame.len() as u64;
         let mut st = self.lock_state();
-        let mut blocked = false;
-        while !st.poisoned && st.queue.len() >= self.q.capacity {
+        let full = |st: &QueueState| {
+            !st.poisoned && st.queue.len() >= self.q.capacity && !self.group_starving()
+        };
+        if full(&st) {
             // Count once per push so the counter reflects how often
             // back-pressure engaged, not how long.
-            if !blocked {
-                self.note_blocked_push();
-                blocked = true;
+            self.note_blocked_push();
+            st.parked += 1;
+            while full(&st) {
+                st = self.q.not_full.wait(st).unwrap_or_else(|e| e.into_inner());
             }
-            st = self.q.not_full.wait(st).unwrap_or_else(|e| e.into_inner());
+            st.parked -= 1;
         }
         if st.poisoned {
             return Err(HyracksError::Disconnected("failed partition holder"));
@@ -324,83 +386,104 @@ impl PartitionHolder {
         }
     }
 
-    /// Pulls records until `max_records` are collected or EOF arrives.
-    /// This is how a computing job collects its parameter batch from
-    /// the intake job; `Batch::eof` tells the driver whether this was
+    /// Pulls up to `max_records` records for one computing job's
+    /// parameter batch; `Batch::eof` tells the driver whether this was
     /// the feed's last batch.
+    ///
+    /// The pull is work-conserving: `max_records` is a ceiling, not a
+    /// fill target. It blocks while the holder is empty, then returns
+    /// as soon as it holds a record and the queue has run dry — unless
+    /// the intake is backlogged, i.e. a producer was parked in
+    /// [`push_frame`](Self::push_frame) or the queue was full at some
+    /// point during this call. A backlogged pull keeps taking frames,
+    /// waiting if it must, until `max_records` are collected, so batches
+    /// under load still fill past the holder's capacity. While it waits,
+    /// the other members of the holder's [`HolderGroup`] take frames
+    /// over capacity rather than park producers it may depend on. An EOF
+    /// queued right behind the taken frames is consumed by the same call.
     pub fn pull_batch(&self, max_records: usize) -> Result<Batch> {
         let mut out = Vec::with_capacity(max_records.min(4096));
-        {
-            let mut leftover = self.leftover.lock();
-            while out.len() < max_records {
-                match leftover.pop_front() {
-                    Some(r) => out.push(r),
-                    None => break,
-                }
-            }
-        }
-        if out.len() >= max_records {
-            self.taken.fetch_add(out.len() as u64, Ordering::AcqRel);
-            return Ok(Batch { records: out, eof: self.eof_seen() });
-        }
+        self.take_leftover(&mut out, max_records);
         if self.eof_seen() {
             self.taken.fetch_add(out.len() as u64, Ordering::AcqRel);
             return Ok(Batch { records: out, eof: true });
         }
+        let mut backlog = false;
+        let mut eof = false;
+        let mut st = self.lock_state();
+        let mut waited = false;
         while out.len() < max_records {
-            match self.pop_blocking() {
-                HolderMsg::Frame(f) => {
-                    let mut records = f.into_records().into_iter();
-                    while out.len() < max_records {
-                        match records.next() {
-                            Some(r) => out.push(r),
-                            None => break,
-                        }
-                    }
-                    // Stash anything beyond the batch boundary.
-                    let mut leftover = self.leftover.lock();
-                    leftover.extend(records);
+            backlog |= st.parked > 0 || st.queue.len() >= self.q.capacity;
+            match st.queue.pop_front() {
+                Some(HolderMsg::Frame(f)) => {
+                    drop(st);
+                    self.q.not_full.notify_one();
+                    self.take_frame(f, &mut out, max_records);
+                    st = self.lock_state();
                 }
-                HolderMsg::Eof => {
-                    self.eof_seen.store(true, Ordering::Release);
-                    self.taken.fetch_add(out.len() as u64, Ordering::AcqRel);
-                    return Ok(Batch { records: out, eof: true });
+                Some(HolderMsg::Eof) => {
+                    eof = true;
+                    break;
                 }
+                None if !out.is_empty() && !backlog => break,
+                None if !waited => {
+                    // Count once per pull: how often a job found the
+                    // intake dry, not how long it waited. Then keep the
+                    // other members' producers from parking until this
+                    // pull ends, and look at the queue again.
+                    self.note_blocked_pull();
+                    waited = true;
+                    drop(st);
+                    self.set_starving(true);
+                    st = self.lock_state();
+                }
+                None => st = self.q.not_empty.wait(st).unwrap_or_else(|e| e.into_inner()),
             }
         }
+        if !eof
+            && matches!(st.queue.front(), Some(HolderMsg::Eof))
+            && self.leftover.lock().is_empty()
+        {
+            st.queue.pop_front();
+            eof = true;
+        }
+        drop(st);
+        if waited {
+            self.set_starving(false);
+        }
+        if eof {
+            self.eof_seen.store(true, Ordering::Release);
+        }
         self.taken.fetch_add(out.len() as u64, Ordering::AcqRel);
-        Ok(Batch { records: out, eof: false })
+        Ok(Batch { records: out, eof })
+    }
+
+    /// Moves leftover records from an earlier split frame into `out`.
+    fn take_leftover(&self, out: &mut Vec<Value>, max_records: usize) {
+        let mut leftover = self.leftover.lock();
+        let n = leftover.len().min(max_records - out.len());
+        out.extend(leftover.drain(..n));
+    }
+
+    /// Moves a frame's records into `out` up to `max_records`, stashing
+    /// anything beyond the batch boundary for the next pull.
+    fn take_frame(&self, frame: Frame, out: &mut Vec<Value>, max_records: usize) {
+        let mut records = frame.into_records().into_iter();
+        out.extend(records.by_ref().take(max_records - out.len()));
+        self.leftover.lock().extend(records);
     }
 
     /// Non-blocking variant of [`pull_batch`](Self::pull_batch): takes
-    /// whatever is immediately available (up to `max_records`) without
-    /// waiting for the batch to fill. The checkpoint drain uses this so
-    /// a computing invocation issued while the adapters are paused
-    /// cannot block on a quiet intake holder.
+    /// whatever is immediately available (up to `max_records`) and never
+    /// waits, not even on an empty holder. The checkpoint drain uses
+    /// this so a computing invocation issued while the adapters are
+    /// paused cannot block on a holder that may stay empty until resume.
     pub fn try_pull_batch(&self, max_records: usize) -> Result<Batch> {
         let mut out = Vec::new();
-        {
-            let mut leftover = self.leftover.lock();
-            while out.len() < max_records {
-                match leftover.pop_front() {
-                    Some(r) => out.push(r),
-                    None => break,
-                }
-            }
-        }
+        self.take_leftover(&mut out, max_records);
         while out.len() < max_records {
             match self.try_pop() {
-                Some(HolderMsg::Frame(f)) => {
-                    let mut records = f.into_records().into_iter();
-                    while out.len() < max_records {
-                        match records.next() {
-                            Some(r) => out.push(r),
-                            None => break,
-                        }
-                    }
-                    let mut leftover = self.leftover.lock();
-                    leftover.extend(records);
-                }
+                Some(HolderMsg::Frame(f)) => self.take_frame(f, &mut out, max_records),
                 Some(HolderMsg::Eof) => {
                     self.eof_seen.store(true, Ordering::Release);
                     break;
@@ -613,9 +696,19 @@ mod tests {
     fn failed_holder_unblocks_both_sides() {
         let m = PartitionHolderManager::new();
         let h = m.register("h", HolderMode::Passive, 1).unwrap();
-        h.push_frame(Frame::from_records(vec![Value::Int(1)])).unwrap();
 
-        // A producer stuck in back-pressure...
+        // A consumer on an empty holder that can only return at EOF...
+        let h3 = h.clone();
+        let consumer = std::thread::spawn(move || loop {
+            let batch = h3.pull_batch(usize::MAX).unwrap();
+            if batch.eof {
+                return batch;
+            }
+        });
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!consumer.is_finished(), "a pull on an empty holder must block");
+
+        // ...and a producer that pushes until back-pressure or failure.
         let h2 = h.clone();
         let producer = std::thread::spawn(move || {
             let mut pushed = 0;
@@ -624,9 +717,6 @@ mod tests {
             }
             pushed
         });
-        // ...and a consumer that can only return at EOF.
-        let h3 = h.clone();
-        let consumer = std::thread::spawn(move || h3.pull_batch(usize::MAX).unwrap());
 
         std::thread::sleep(std::time::Duration::from_millis(20));
         h.fail();
@@ -669,10 +759,140 @@ mod tests {
         while registry.counter("holder/h/blocked_pushes").get() == 0 {
             std::thread::yield_now();
         }
-        let drained = h.pull_batch(3).unwrap();
-        assert_eq!(drained.len(), 3);
+        let mut drained = 0;
+        while drained < 3 {
+            drained += h.pull_batch(3).unwrap().len();
+        }
+        assert_eq!(drained, 3);
         t.join().unwrap();
         assert_eq!(registry.snapshot().gauge("holder/h/queue_depth"), Some(0));
         assert!(registry.counter("holder/h/blocked_pushes").get() >= 1);
+    }
+
+    #[test]
+    fn pull_batch_returns_queued_records_without_waiting_for_max() {
+        let m = PartitionHolderManager::new();
+        let h = m.register("h", HolderMode::Passive, 8).unwrap();
+        h.push_frame(Frame::from_records(vec![Value::Int(1), Value::Int(2)])).unwrap();
+        h.push_frame(Frame::from_records(vec![Value::Int(3)])).unwrap();
+        let b = h.pull_batch(420).unwrap();
+        assert_eq!(b.records, vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
+        assert!(!b.eof);
+        assert_eq!(h.taken(), 3);
+    }
+
+    #[test]
+    fn pull_batch_blocks_on_empty_holder_until_first_push() {
+        let m = PartitionHolderManager::new();
+        let h = m.register("h", HolderMode::Passive, 8).unwrap();
+        let h2 = h.clone();
+        let consumer = std::thread::spawn(move || h2.pull_batch(420).unwrap());
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!consumer.is_finished(), "a pull on an empty holder must block");
+        h.push_frame(Frame::from_records(vec![Value::Int(1), Value::Int(2)])).unwrap();
+        let b = consumer.join().unwrap();
+        assert_eq!(b.records, vec![Value::Int(1), Value::Int(2)]);
+        assert!(!b.eof);
+    }
+
+    #[test]
+    fn parked_producer_lets_pull_batch_fill_past_capacity() {
+        let m = PartitionHolderManager::new();
+        let h = m.register("h", HolderMode::Passive, 2).unwrap();
+        let h2 = h.clone();
+        let producer = std::thread::spawn(move || {
+            for i in 0..10 {
+                h2.push_frame(Frame::from_records(vec![Value::Int(i)])).unwrap();
+            }
+        });
+        while h.lock_state().parked == 0 {
+            std::thread::yield_now();
+        }
+        // Capacity 2, max 5: the pull must wait for the parked producer's
+        // later frames instead of returning what was queued.
+        let b = h.pull_batch(5).unwrap();
+        assert_eq!(b.records, (0..5).map(Value::Int).collect::<Vec<_>>());
+        assert!(!b.eof);
+        let mut rest = 0;
+        while rest < 5 {
+            rest += h.pull_batch(5).unwrap().len();
+        }
+        producer.join().unwrap();
+        assert_eq!(h.taken(), 10);
+    }
+
+    #[test]
+    fn waiting_pull_lets_group_members_run_over_capacity() {
+        let m = PartitionHolderManager::new();
+        let group = HolderGroup::new();
+        let (a, b) = (
+            m.register("a", HolderMode::Passive, 4).unwrap(),
+            m.register("b", HolderMode::Passive, 1).unwrap(),
+        );
+        a.join_group(&group);
+        b.join_group(&group);
+        // `b` is full and its producer parked; nobody pulls `b`.
+        b.push_frame(Frame::from_records(vec![Value::Int(1)])).unwrap();
+        let b2 = b.clone();
+        let producer = std::thread::spawn(move || {
+            b2.push_frame(Frame::from_records(vec![Value::Int(2)])).unwrap();
+        });
+        while b.lock_state().parked == 0 {
+            std::thread::yield_now();
+        }
+        // A pull waiting on empty `a` releases it: frames for `a` may be
+        // dealt behind the one `b`'s producer holds.
+        let a2 = a.clone();
+        let puller = std::thread::spawn(move || a2.pull_batch(10).unwrap());
+        producer.join().unwrap();
+        assert_eq!(b.queued(), 2, "b ran over its capacity of 1");
+        a.push_frame(Frame::from_records(vec![Value::Int(3)])).unwrap();
+        assert_eq!(puller.join().unwrap().records, vec![Value::Int(3)]);
+        // Once the pull returned, a full `b` parks its producers again.
+        assert!(!a.group_starving());
+        let b3 = b.clone();
+        let producer = std::thread::spawn(move || {
+            b3.push_frame(Frame::from_records(vec![Value::Int(4)])).unwrap();
+        });
+        while b.lock_state().parked == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(b.pull_batch(3).unwrap().len(), 3);
+        producer.join().unwrap();
+    }
+
+    #[test]
+    fn eof_queued_behind_frames_returns_with_them() {
+        let m = PartitionHolderManager::new();
+        let h = m.register("h", HolderMode::Passive, 8).unwrap();
+        h.push_frame(Frame::from_records(vec![Value::Int(1), Value::Int(2)])).unwrap();
+        h.push_frame(Frame::from_records(vec![Value::Int(3)])).unwrap();
+        h.push_eof().unwrap();
+        let b = h.pull_batch(100).unwrap();
+        assert_eq!(b.len(), 3);
+        assert!(b.eof);
+        assert!(h.drained());
+
+        // A batch that fills exactly at a frame boundary still takes the
+        // EOF behind it, so no empty job follows.
+        let h = m.register("exact", HolderMode::Passive, 8).unwrap();
+        h.push_frame(Frame::from_records(vec![Value::Int(1), Value::Int(2)])).unwrap();
+        h.push_eof().unwrap();
+        let b = h.pull_batch(2).unwrap();
+        assert_eq!(b.len(), 2);
+        assert!(b.eof);
+        assert!(h.drained());
+
+        // Records left over from a split frame keep the EOF queued.
+        let h = m.register("split", HolderMode::Passive, 8).unwrap();
+        h.push_frame(Frame::from_records(vec![Value::Int(1), Value::Int(2)])).unwrap();
+        h.push_eof().unwrap();
+        let b = h.pull_batch(1).unwrap();
+        assert!(!b.eof);
+        assert!(!h.drained());
+        let b = h.pull_batch(1).unwrap();
+        assert_eq!(b.records, vec![Value::Int(2)]);
+        assert!(b.eof);
+        assert!(h.drained());
     }
 }

@@ -45,7 +45,7 @@ pub use connector::ConnectorSpec;
 pub use error::HyracksError;
 pub use executor::{run_job, JobHandle};
 pub use frame::Frame;
-pub use holder::{Batch, HolderMode, PartitionHolder, PartitionHolderManager};
+pub use holder::{Batch, HolderGroup, HolderMode, PartitionHolder, PartitionHolderManager};
 pub use job::{JobSpec, StageSpec, TaskContext};
 pub use operator::{FnOperator, FrameSink, Operator};
 pub use pool::TaskPool;

@@ -11,6 +11,10 @@ pub const QUERY_SCAN_PK_RANGE: &str = "query/scan/pk_range";
 /// from its shared plan cache instead of rebuilding, because the
 /// reference snapshot had not moved since the build.
 pub const QUERY_BUILD_REUSED: &str = "query/build/reused";
+/// Hash build sides an execution context brought forward from its
+/// shared plan cache's by the reference writes since that build,
+/// instead of rebuilding from a full scan.
+pub const QUERY_BUILD_DELTA: &str = "query/build/delta_applied";
 /// Columnar batches built by vectorized scans.
 pub const QUERY_BATCHES_BUILT: &str = "query/batch/built";
 /// Rows-per-batch distribution of vectorized scans (histogram; the

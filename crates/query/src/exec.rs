@@ -202,14 +202,14 @@ impl PlanCache {
         }
     }
 
-    /// The memoized build for `site`, if it was built from exactly the
-    /// views `snaps` pins.
-    fn shared_build(&self, site: BuildSite, snaps: &[DatasetSnapshot]) -> Option<Arc<BuildState>> {
+    /// The memoized build for `site` and the views it was built from.
+    fn shared_build(
+        &self,
+        site: BuildSite,
+    ) -> Option<(Arc<Vec<DatasetSnapshot>>, Arc<BuildState>)> {
         let builds = self.builds.read();
         let memo = builds.get(&site)?;
-        let same = memo.snaps.len() == snaps.len()
-            && memo.snaps.iter().zip(snaps).all(|(a, b)| a.same_view(b));
-        same.then(|| memo.state.clone())
+        Some((memo.snaps.clone(), memo.state.clone()))
     }
 
     /// Memoizes `state`, built from `snaps`, as `site`'s build.
@@ -239,6 +239,10 @@ pub struct ExecStats {
     /// reference snapshot had not moved (`hash_builds` and
     /// `materializations` count only real builds).
     pub build_reuses: u64,
+    /// Hash build sides caught up from the shared [`PlanCache`]'s
+    /// memoized build by the writes between its view and the one
+    /// pinned, instead of rebuilt (not counted in `hash_builds`).
+    pub build_deltas: u64,
     pub index_probes: u64,
     pub rows_scanned: u64,
     /// Partition scans bounded by a primary-key range.
@@ -271,7 +275,7 @@ pub enum BuildState {
     /// Materialized (filtered) reference rows.
     Rows(Vec<Arc<Value>>),
     /// Hash table: build-key values → matching rows.
-    Hash(HashMap<Vec<Value>, Vec<Arc<Value>>>),
+    Hash(HashBuild),
 }
 
 impl BuildState {
@@ -279,7 +283,7 @@ impl BuildState {
     pub fn len(&self) -> usize {
         match self {
             BuildState::Rows(r) => r.len(),
-            BuildState::Hash(m) => m.values().map(Vec::len).sum(),
+            BuildState::Hash(h) => h.len(),
         }
     }
 
@@ -287,6 +291,90 @@ impl BuildState {
         self.len() == 0
     }
 }
+
+type HashTable = HashMap<Vec<Value>, Vec<Arc<Value>>>;
+
+/// A hash-join build side: build-key values → matching rows in scan
+/// order. A build brought forward by a delta shares the table of the
+/// full build it started from and holds the buckets changed since in a
+/// small overlay, so a refresh costs the delta, not the table.
+#[derive(Clone)]
+pub struct HashBuild {
+    base: Arc<HashTable>,
+    base_rows: usize,
+    /// Buckets that replace `base`'s; an empty one removes its key.
+    overlay: HashTable,
+}
+
+/// Rows a delta may touch, and an overlay may hold, on top of an eighth
+/// of the table before a full build is cheaper.
+const DELTA_SLACK: usize = 16;
+
+impl HashBuild {
+    pub(crate) fn new(table: HashTable) -> HashBuild {
+        let base_rows = table.values().map(Vec::len).sum();
+        HashBuild { base: Arc::new(table), base_rows, overlay: HashTable::new() }
+    }
+
+    /// The rows whose build key is `key`.
+    pub(crate) fn get(&self, key: &[Value]) -> &[Arc<Value>] {
+        self.overlay.get(key).or_else(|| self.base.get(key)).map_or(&[], Vec::as_slice)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        let base: usize = self
+            .base
+            .iter()
+            .filter(|(k, _)| !self.overlay.contains_key(*k))
+            .map(|(_, rows)| rows.len())
+            .sum();
+        base + self.overlay.values().map(Vec::len).sum::<usize>()
+    }
+
+    /// Whether `rows` is too much to carry beside the table: a full
+    /// build is then cheaper than copying or applying them.
+    fn too_many(&self, rows: usize) -> bool {
+        rows * 8 > self.base_rows + DELTA_SLACK
+    }
+
+    /// Replaces `before` (a row, keyed) by `after`. An update that keeps
+    /// its key keeps its bucket position; a row leaving a bucket leaves
+    /// the others in order. A row joining a non-empty bucket would need
+    /// its scan position, which a bucket does not record: returns
+    /// `false`, and the caller rebuilds.
+    fn replace(&mut self, before: Option<Keyed>, after: Option<Keyed>) -> bool {
+        // A record's primary key is unique, so equal content is the row.
+        let position = |rows: &[Arc<Value>], row: &Arc<Value>| {
+            rows.iter().position(|r| Arc::ptr_eq(r, row) || **r == **row)
+        };
+        match (before, after) {
+            (Some((kb, rb)), Some((ka, ra))) if kb == ka => {
+                let mut rows = self.get(&kb).to_vec();
+                let Some(i) = position(&rows, &rb) else { return false };
+                rows[i] = ra;
+                self.overlay.insert(kb, rows);
+            }
+            (before, after) => {
+                if let Some((kb, rb)) = before {
+                    let mut rows = self.get(&kb).to_vec();
+                    let Some(i) = position(&rows, &rb) else { return false };
+                    rows.remove(i);
+                    self.overlay.insert(kb, rows);
+                }
+                if let Some((ka, ra)) = after {
+                    if !self.get(&ka).is_empty() {
+                        return false;
+                    }
+                    self.overlay.insert(ka, vec![ra]);
+                }
+            }
+        }
+        true
+    }
+}
+
+/// A build row with its build-key values.
+type Keyed = (Vec<Value>, Arc<Value>);
 
 /// Everything one enrichment execution scope holds.
 pub struct ExecContext {
@@ -630,13 +718,13 @@ fn fetch_candidates(
         }
         AccessPath::HashBuild { build_keys, probe_keys } => {
             let state = hash_build(block, fp, build_keys, ctx)?;
-            let BuildState::Hash(map) = &*state else { unreachable!("hash path") };
+            let BuildState::Hash(table) = &*state else { unreachable!("hash path") };
             let mut key = Vec::with_capacity(probe_keys.len());
             for k in probe_keys {
                 key.push(eval_expr(k, renv, ctx)?);
             }
             ctx.stats.hash_probes += 1;
-            Ok(CandList::Owned(map.get(&key).cloned().unwrap_or_default()))
+            Ok(CandList::Owned(table.get(&key).to_vec()))
         }
         AccessPath::IndexEq { target, probe_key } => {
             let FromSource::Name(ds_name) = source else {
@@ -725,13 +813,21 @@ fn apply_filters(
 
 /// The build side of dataset FROM item `fp`: this context's own, else
 /// the plan cache's memoized one if the snapshot just pinned is the view
-/// it was built from (pure builds only), else a fresh `build` over the
+/// it was built from (pure builds only), else the memoized one brought
+/// forward to the pinned view by `refresh` (given the memoized state and
+/// its views, `None` when it cannot), else a fresh `build` over the
 /// pinned snapshots — memoized in turn when pure.
 fn build_side(
     block: &SelectBlock,
     fp: &crate::plan::FromPlan,
     ctx: &mut ExecContext,
     build: impl FnOnce(&[DatasetSnapshot], &mut ExecContext) -> Result<BuildState>,
+    refresh: impl FnOnce(
+        &BuildState,
+        &[DatasetSnapshot],
+        &[DatasetSnapshot],
+        &mut ExecContext,
+    ) -> Result<Option<BuildState>>,
 ) -> Result<Arc<BuildState>> {
     let site = (block.id, fp.item_idx);
     if let Some(s) = ctx.builds.get(&site) {
@@ -741,17 +837,33 @@ fn build_side(
         return Err(QueryError::Eval("a build side requires a dataset".into()));
     };
     let snaps = ctx.snapshots_for(ds_name)?;
-    let shared = fp.pure_build.then(|| ctx.plan_cache.shared_build(site, &snaps)).flatten();
-    let state = match shared {
-        Some(state) => {
+    let memo = if fp.pure_build { ctx.plan_cache.shared_build(site) } else { None };
+    let state = match memo {
+        Some((old, state))
+            if old.len() == snaps.len()
+                && old.iter().zip(snaps.iter()).all(|(a, b)| a.same_view(b)) =>
+        {
             ctx.stats.build_reuses += 1;
             if let Some(m) = &ctx.metrics {
                 m.counter(idea_obs::names::QUERY_BUILD_REUSED).inc();
             }
             state
         }
-        None => {
-            let state = Arc::new(build(&snaps, ctx)?);
+        memo => {
+            let refreshed = match memo {
+                Some((old, state)) => refresh(&state, &old, &snaps, ctx)?,
+                None => None,
+            };
+            let state = match refreshed {
+                Some(state) => {
+                    ctx.stats.build_deltas += 1;
+                    if let Some(m) = &ctx.metrics {
+                        m.counter(idea_obs::names::QUERY_BUILD_DELTA).inc();
+                    }
+                    Arc::new(state)
+                }
+                None => Arc::new(build(&snaps, ctx)?),
+            };
             if fp.pure_build {
                 ctx.plan_cache.share_build(site, snaps, state.clone());
             }
@@ -768,7 +880,7 @@ fn materialize(
     fp: &crate::plan::FromPlan,
     ctx: &mut ExecContext,
 ) -> Result<Arc<BuildState>> {
-    build_side(block, fp, ctx, |snaps, ctx| {
+    let build = |snaps: &[DatasetSnapshot], ctx: &mut ExecContext| {
         let range = ctx.scan_range(fp.key_range.as_ref(), snaps.len());
         let mut rows = Vec::new();
         for s in snaps {
@@ -777,45 +889,96 @@ fn materialize(
         ctx.stats.rows_scanned += rows.len() as u64;
         ctx.stats.materializations += 1;
         Ok(BuildState::Rows(apply_filters(rows, &fp.self_filter, block, fp, ctx)?))
-    })
+    };
+    // Materialized rows are rebuilt whenever the view moved.
+    build_side(block, fp, ctx, build, |_, _, _, _| Ok(None))
 }
 
-/// The hash table for an equality-join FROM item.
+/// The hash table for an equality-join FROM item. A moved view is
+/// caught up from the memoized table by the writes between the two
+/// views while they are few and still in the memtable.
 fn hash_build(
     block: &SelectBlock,
     fp: &crate::plan::FromPlan,
     build_keys: &[Expr],
     ctx: &mut ExecContext,
 ) -> Result<Arc<BuildState>> {
-    build_side(block, fp, ctx, |snaps, ctx| {
+    let alias = &block.from[fp.item_idx].alias;
+    let build = |snaps: &[DatasetSnapshot], ctx: &mut ExecContext| {
         let range = ctx.scan_range(fp.key_range.as_ref(), snaps.len());
-        let mut slot = BindSlot::new(&Env::new(), block.from[fp.item_idx].alias.clone());
-        let mut map: HashMap<Vec<Value>, Vec<Arc<Value>>> = HashMap::new();
+        let mut slot = BindSlot::new(&Env::new(), alias.clone());
+        let mut map = HashTable::new();
         let mut n_rows = 0u64;
         for s in snaps {
-            'row: for rec in s.iter_range(range) {
+            for rec in s.iter_range(range) {
                 n_rows += 1;
-                let env = slot.set(rec.clone());
-                for f in &fp.self_filter {
-                    if !eval_expr(f, env, ctx)?.is_true() {
-                        continue 'row;
-                    }
+                if let Some(kv) = build_key(&rec, &mut slot, fp, build_keys, ctx)? {
+                    map.entry(kv).or_default().push(rec);
                 }
-                let mut kv = Vec::with_capacity(build_keys.len());
-                for k in build_keys {
-                    kv.push(eval_expr(k, env, ctx)?);
-                }
-                if kv.iter().any(Value::is_unknown) {
-                    continue; // unknown keys never join
-                }
-                map.entry(kv).or_default().push(rec);
             }
         }
         ctx.stats.rows_scanned += n_rows;
         ctx.stats.hash_builds += 1;
         ctx.stats.hash_build_rows += n_rows;
-        Ok(BuildState::Hash(map))
-    })
+        Ok(BuildState::Hash(HashBuild::new(map)))
+    };
+    let refresh = |prev: &BuildState,
+                   old: &[DatasetSnapshot],
+                   new: &[DatasetSnapshot],
+                   ctx: &mut ExecContext| {
+        let BuildState::Hash(prev) = prev else { return Ok(None) };
+        let mut changes = Vec::new();
+        for (o, n) in old.iter().zip(new) {
+            match n.changes_since(o)? {
+                Some(c) => changes.extend(c),
+                None => return Ok(None),
+            }
+        }
+        if old.len() != new.len() || prev.too_many(changes.len()) {
+            return Ok(None);
+        }
+        let mut slot = BindSlot::new(&Env::new(), alias.clone());
+        let mut keyed = |row: Option<Arc<Value>>, ctx: &mut ExecContext| -> Result<Option<Keyed>> {
+            let Some(row) = row else { return Ok(None) };
+            Ok(build_key(&row, &mut slot, fp, build_keys, ctx)?.map(|kv| (kv, row)))
+        };
+        let mut next = prev.clone();
+        for c in changes {
+            if fp.key_range.as_ref().is_some_and(|r| !r.contains(&c.key)) {
+                continue;
+            }
+            let before = keyed(c.before, ctx)?;
+            let after = keyed(c.after, ctx)?;
+            if !next.replace(before, after) {
+                return Ok(None);
+            }
+        }
+        let carried = next.overlay.values().map(Vec::len).sum();
+        Ok((!next.too_many(carried)).then_some(BuildState::Hash(next)))
+    };
+    build_side(block, fp, ctx, build, refresh)
+}
+
+/// `rec`'s build-key values, or `None` when the FROM item's self-filter
+/// drops it or a key is unknown (unknown keys never join).
+fn build_key(
+    rec: &Arc<Value>,
+    slot: &mut BindSlot,
+    fp: &crate::plan::FromPlan,
+    build_keys: &[Expr],
+    ctx: &mut ExecContext,
+) -> Result<Option<Vec<Value>>> {
+    let env = slot.set(rec.clone());
+    for f in &fp.self_filter {
+        if !eval_expr(f, env, ctx)?.is_true() {
+            return Ok(None);
+        }
+    }
+    let mut kv = Vec::with_capacity(build_keys.len());
+    for k in build_keys {
+        kv.push(eval_expr(k, env, ctx)?);
+    }
+    Ok((!kv.iter().any(Value::is_unknown)).then_some(kv))
 }
 
 /// One group during grouped evaluation: the group environment (first
@@ -1079,7 +1242,7 @@ mod tests {
         assert_eq!(rows.len(), 2);
         let mut m = HashMap::new();
         m.insert(vec![Value::Int(1)], vec![Arc::new(Value::Int(1))]);
-        assert_eq!(BuildState::Hash(m).len(), 1);
+        assert_eq!(BuildState::Hash(HashBuild::new(m)).len(), 1);
         assert!(!rows.is_empty());
     }
 }

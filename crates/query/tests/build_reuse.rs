@@ -139,8 +139,8 @@ fn tweet(rng: &mut Rng, id: u64) -> Value {
 }
 
 /// Runs one seeded history; returns how many of its batches saw the
-/// view move.
-fn run_seed(seed: u64) -> usize {
+/// view move, and how many hash builds a delta caught up.
+fn run_seed(seed: u64) -> (usize, usize) {
     let c = setup();
     let mut rng = Rng(seed);
     let mut model = BTreeMap::new();
@@ -150,7 +150,7 @@ fn run_seed(seed: u64) -> usize {
     let shared = PlanCache::new();
     // The first batch always builds.
     let mut pending_move = true;
-    let mut moved_batches = 0;
+    let (mut moved_batches, mut deltas) = (0, 0);
     for batch in 0..BATCHES {
         for _ in 0..rng.below(3) {
             pending_move |= apply_op(&c, &mut model, &mut rng);
@@ -176,22 +176,29 @@ fn run_seed(seed: u64) -> usize {
         assert_eq!(private.stats.build_reuses, 0);
         let want_builds = moved as u64;
         let st = ctx.stats;
-        assert_eq!(st.hash_builds, want_builds, "seed {seed} batch {batch}: hash builds");
+        // A moved hash build is either rebuilt or caught up by a delta.
+        let hash_refreshes = st.hash_builds + st.build_deltas;
+        assert_eq!(hash_refreshes, want_builds, "seed {seed} batch {batch}: hash builds");
         assert_eq!(st.materializations, want_builds, "seed {seed} batch {batch}: materializations");
         assert_eq!(st.build_reuses, 2 * (1 - want_builds), "seed {seed} batch {batch}: reuses");
+        deltas += st.build_deltas as usize;
     }
-    moved_batches
+    (moved_batches, deltas)
 }
 
 /// Shared-cache contexts ≡ always-rebuild contexts across 256 seeded
 /// histories of rating changes, deletes, new keys, flushes and merges —
-/// and the shared side builds exactly once per batch whose view moved.
+/// and the shared side refreshes exactly once per batch whose view
+/// moved, by a rebuild or, for the hash join, a delta.
 #[test]
 fn shared_builds_match_always_rebuild_across_seeds() {
-    let moved: usize = (0..256).map(run_seed).sum();
+    let (moved, deltas) = (0..256)
+        .map(run_seed)
+        .fold((0, 0), |(m, d), (moved, deltas)| (m + moved, d + deltas));
     let batches = 256 * BATCHES;
-    // Both sides of the check must actually be exercised.
+    // Every path of the check must actually be exercised.
     assert!(moved > batches / 5 && moved < batches * 4 / 5, "{moved} of {batches} batches moved");
+    assert!(deltas > moved / 10 && deltas < moved, "{deltas} of {moved} moved batches by delta");
 }
 
 /// A reference catalog with static ratings for the unit cases below.

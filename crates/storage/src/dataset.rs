@@ -12,7 +12,7 @@ use parking_lot::RwLock;
 use crate::error::StorageError;
 use crate::index::{IndexDef, IndexKind, SecondaryIndex};
 use crate::lsm::{
-    CacheStats, Entry, KeyRange, LsmConfig, LsmTree, RecoveryStats, TreeSnapshot, WalStats,
+    CacheStats, Change, Entry, KeyRange, LsmConfig, LsmTree, RecoveryStats, TreeSnapshot, WalStats,
 };
 use crate::maintenance::MaintenanceScheduler;
 use crate::stats::StorageStats;
@@ -506,6 +506,14 @@ impl DatasetSnapshot {
         self.snap.same_view(&other.snap)
     }
 
+    /// The records that differ between `older` and this view of the
+    /// partition, in primary-key order, or `None` when a flush or merge
+    /// landed between them
+    /// ([`TreeSnapshot::changes_since`](crate::lsm::TreeSnapshot::changes_since)).
+    pub fn changes_since(&self, older: &DatasetSnapshot) -> Result<Option<Vec<Change>>> {
+        self.snap.changes_since(&older.snap)
+    }
+
     /// A page-level read handle when this snapshot is exactly one
     /// columnar component with no memtable overlay — the shape whose
     /// typed pages a vectorized scan can slice into batches directly,
@@ -668,6 +676,42 @@ mod tests {
             assert!(next.same_view(&ds.snapshot()), "view {i} is stable while unwritten");
             prev = next;
         }
+    }
+
+    #[test]
+    fn changes_since_lists_writes_until_a_flush() {
+        let ds = words_dataset();
+        ds.insert(word(1, "US", "bomb")).unwrap();
+        ds.insert(word(2, "US", "gun")).unwrap();
+        ds.flush();
+        ds.insert(word(3, "FR", "bombe")).unwrap();
+        let old = ds.snapshot();
+        assert!(ds.snapshot().changes_since(&old).unwrap().unwrap().is_empty());
+
+        ds.upsert(word(1, "US", "threat")).unwrap();
+        assert!(ds.delete(&Value::Int(3)).unwrap());
+        ds.insert(word(4, "DE", "bombe")).unwrap();
+        let new = ds.snapshot();
+        let changes = new.changes_since(&old).unwrap().unwrap();
+        let word_of = |r: &Option<Arc<Value>>| {
+            r.as_ref().map(|r| r.as_object().unwrap().get("word").unwrap().clone())
+        };
+        let got: Vec<_> = changes
+            .iter()
+            .map(|c| (c.key.clone(), word_of(&c.before), word_of(&c.after)))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                // The older record came from the flushed component.
+                (Value::Int(1), Some(Value::str("bomb")), Some(Value::str("threat"))),
+                (Value::Int(3), Some(Value::str("bombe")), None),
+                (Value::Int(4), None, Some(Value::str("bombe"))),
+            ]
+        );
+
+        ds.flush();
+        assert!(ds.snapshot().changes_since(&new).unwrap().is_none(), "a flush forces a rescan");
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod stats;
 pub use dataset::{Dataset, DatasetConfig, DatasetSnapshot};
 pub use error::StorageError;
 pub use index::{BTreeIndex, IndexDef, IndexKind, RTree};
-pub use lsm::{Entry, KeyRange, LsmConfig, MergePolicy, MergePolicyConfig};
+pub use lsm::{Change, Entry, KeyRange, LsmConfig, MergePolicy, MergePolicyConfig};
 pub use maintenance::{MaintKind, MaintenanceScheduler};
 pub use partitioned::PartitionedDataset;
 pub use persist::{

@@ -68,6 +68,17 @@ use crate::persist::{
 /// are reference-counted so reads never deep-clone.
 pub type Entry = Option<Arc<Value>>;
 
+/// One key whose visible record differs between two views of a tree
+/// ([`TreeSnapshot::changes_since`]). `None` is absent or deleted.
+#[derive(Debug, Clone)]
+pub struct Change {
+    pub key: Value,
+    /// The record the older view sees.
+    pub before: Option<Arc<Value>>,
+    /// The record the newer view sees.
+    pub after: Option<Arc<Value>>,
+}
+
 /// A memoized merged-memtable run: the `TreeState::mem_gen` it was
 /// built from plus the shared sorted entries.
 type CachedMemRun = (u64, Arc<Vec<(Value, Entry)>>);
@@ -1075,12 +1086,7 @@ impl TreeSnapshot {
         if let Ok(i) = self.mem.binary_search_by(|(k, _)| k.cmp(key)) {
             return Ok(self.mem[i].1.clone());
         }
-        for c in self.components.iter() {
-            if let Some(e) = c.get(key)? {
-                return Ok(e);
-            }
-        }
-        Ok(None)
+        self.component_get(key)
     }
 
     /// Live entries in key order (k-way merge, newest version wins,
@@ -1127,6 +1133,53 @@ impl TreeSnapshot {
     /// can never come from a freed-and-reused allocation.
     pub fn same_view(&self, other: &TreeSnapshot) -> bool {
         Arc::ptr_eq(&self.mem, &other.mem) && Arc::ptr_eq(&self.components, &other.components)
+    }
+
+    /// The keys whose visible record differs between `older` and this
+    /// view, in key order. Only answerable while both pin the same
+    /// component stack, so every write between them still sits in the
+    /// memtable run; `Ok(None)` otherwise (a flush or merge landed, and
+    /// the caller rescans). Linear in the memtable run, plus one
+    /// component probe per key that is new to it.
+    pub fn changes_since(&self, older: &TreeSnapshot) -> Result<Option<Vec<Change>>, StorageError> {
+        if !Arc::ptr_eq(&self.components, &older.components) {
+            return Ok(None);
+        }
+        let mut changes = Vec::new();
+        if Arc::ptr_eq(&self.mem, &older.mem) {
+            return Ok(Some(changes));
+        }
+        let mut old = older.mem.iter().peekable();
+        for (key, after) in self.mem.iter() {
+            let before = match old.peek() {
+                // A key left the memtable: not a pure sequence of writes.
+                Some((k, _)) if k < key => return Ok(None),
+                Some((k, e)) if k == key => {
+                    old.next();
+                    e.clone()
+                }
+                _ => self.component_get(key)?,
+            };
+            let same = match (&before, after) {
+                (Some(b), Some(a)) => Arc::ptr_eq(b, a),
+                (None, None) => true,
+                _ => false,
+            };
+            if !same {
+                changes.push(Change { key: key.clone(), before, after: after.clone() });
+            }
+        }
+        Ok(old.next().is_none().then_some(changes))
+    }
+
+    /// Newest entry for `key` in the pinned component stack.
+    fn component_get(&self, key: &Value) -> Result<Entry, StorageError> {
+        for c in self.components.iter() {
+            if let Some(e) = c.get(key)? {
+                return Ok(e);
+            }
+        }
+        Ok(None)
     }
 
     /// Live-entry count (linear in snapshot size).

@@ -40,6 +40,11 @@ run cargo test --offline -q -p idea-query --test columnar_scan
 run cargo test --offline -q -p idea-query --test pk_range
 # Build-side reuse: shared-cache contexts must equal always-rebuild ones.
 run cargo test --offline -q -p idea-query --test build_reuse
+# Work-conserving computing jobs: a trickle feed is readable long before
+# a batch could fill, while a backlogged drain still runs full batches
+# larger than the intake holder's capacity.
+run cargo test --offline -q --test full_pipeline trickle_feed_is_readable_before_a_batch_fills
+run cargo test --offline -q --test full_pipeline backlogged_batches_fill_past_holder_capacity
 # Serving latency: sequential tiny queries over loopback must not pay a
 # Nagle/delayed-ACK stall (~40 ms each) per response.
 run cargo test --offline -q -p idea-serve --test server tiny_queries_answer_without_a_nagle_stall

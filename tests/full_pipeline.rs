@@ -2,9 +2,13 @@
 //! workload generators → feeds → enrichment → storage → analytics.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use idea::adm::Value;
-use idea::ingestion::{ComputingModel, FeedSpec, IngestionEngine, PipelineMode, VecAdapter};
+use idea::ingestion::{
+    Adapter, AdapterFactory, ComputingModel, FeedSpec, IngestionEngine, PipelineMode,
+    RateLimitedAdapter, VecAdapter,
+};
 use idea::query::SessionConfig;
 use idea::workload::scenarios::{setup_scenario, setup_tweet_datasets};
 use idea::workload::{ScenarioKey, TweetGenerator, WorkloadScale};
@@ -170,4 +174,65 @@ fn facade_reexports_are_usable() {
     let ds = idea::storage::Dataset::new("D", dt, "id", Default::default());
     ds.insert(Value::object([("id", Value::Int(1))])).unwrap();
     assert_eq!(ds.len(), 1);
+}
+
+/// `batch_size` is a ceiling, not a fill target: a feed far slower than
+/// one batch per node per job must not wait for batches to fill. At
+/// 200 records/s over two nodes a 2 × 420-record fill takes ≈4.2 s; a
+/// work-conserving computing job picks the first record up within one
+/// intake flush and one job.
+#[test]
+fn trickle_feed_is_readable_before_a_batch_fills() {
+    let (engine, function) = engine_with(ScenarioKey::SafetyRating, 2);
+    let n = 400;
+    let tweets = VecAdapter::factory(TweetGenerator::new(5).batch(0, n));
+    // 100 records/s per intake partition, 200 records/s in all.
+    let factory: AdapterFactory = Arc::new(move |p, parts| {
+        Ok(Box::new(RateLimitedAdapter::new(tweets(p, parts)?, 100.0)) as Box<dyn Adapter>)
+    });
+    let spec = FeedSpec::new("trickle", "Tweets", factory)
+        .with_function(&function)
+        .with_batch_size(420)
+        .balanced(2);
+    let dataset = engine.catalog().dataset("Tweets").unwrap();
+    let started = Instant::now();
+    let handle = engine.start_feed(spec).unwrap();
+    while dataset.get(&Value::Int(0)).unwrap().is_none() {
+        assert!(started.elapsed() < Duration::from_secs(10), "first record never stored");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let first_readable = started.elapsed();
+    let report = handle.wait().unwrap();
+    assert!(
+        first_readable < Duration::from_secs(1),
+        "first record readable after {first_readable:?}"
+    );
+    assert_eq!(report.records_stored, n);
+    assert_eq!(dataset.len(), n as usize);
+    assert!(report.computing_jobs > 1, "{} jobs", report.computing_jobs);
+}
+
+/// Under backlog the ceiling is reached: with each node's batch four
+/// times what its intake holder can queue (4 frames × 16 records), the
+/// computing jobs still pull full batches, so the job count stays at
+/// ⌈N / (nodes × batch)⌉ give or take a start-up job and an EOF job.
+#[test]
+fn backlogged_batches_fill_past_holder_capacity() {
+    let (engine, function) = engine_with(ScenarioKey::SafetyRating, 2);
+    let (n, batch) = (4096u64, 256usize);
+    let mut spec =
+        FeedSpec::new("backlog", "Tweets", VecAdapter::factory(TweetGenerator::new(5).batch(0, n)))
+            .with_function(&function)
+            .with_batch_size(batch)
+            .balanced(2);
+    spec.holder_capacity = 4;
+    spec.frame_capacity = 16;
+    let report = engine.start_feed(spec).unwrap().wait().unwrap();
+    assert_eq!(report.records_stored, n);
+    let full = n.div_ceil(2 * batch as u64);
+    assert!(
+        report.computing_jobs.abs_diff(full) <= 2,
+        "{} jobs for {full} full batches per node",
+        report.computing_jobs
+    );
 }

@@ -274,7 +274,9 @@ impl PartitionHolder {
     }
 
     /// Enqueues a frame, blocking while the queue is full (back-pressure
-    /// toward the producer, as with a size-limited queue in the paper).
+    /// toward the producer, as with a size-limited queue in the paper) —
+    /// except while a pull on another member of this holder's
+    /// [`HolderGroup`] waits for frames, when the queue runs over.
     /// The wait is a condvar park — `fail()` takes the same lock and
     /// wakes us, so a producer blocked here observes a node death
     /// immediately instead of discovering it on a poll tick.

@@ -846,7 +846,11 @@ mod tests {
         // dealt behind the one `b`'s producer holds.
         let a2 = a.clone();
         let puller = std::thread::spawn(move || a2.pull_batch(10).unwrap());
-        producer.join().unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !producer.is_finished() {
+            assert!(std::time::Instant::now() < deadline, "b's producer stayed parked");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         assert_eq!(b.queued(), 2, "b ran over its capacity of 1");
         a.push_frame(Frame::from_records(vec![Value::Int(3)])).unwrap();
         assert_eq!(puller.join().unwrap().records, vec![Value::Int(3)]);

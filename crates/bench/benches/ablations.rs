@@ -13,8 +13,8 @@
 
 use idea_bench::{run_enrichment, table::fmt_rate, EnrichmentRun, Table, BATCH_1X};
 use idea_core::{
-    ComputingModel, ErrorPolicy, Fallback, FeedSpec, IngestionEngine, RetryPolicy, SupervisionSpec,
-    VecAdapter,
+    ComputingModel, ErrorPolicy, Fallback, FeedSpec, IngestionEngine, RetryPolicy, SourceFactory,
+    SupervisionSpec,
 };
 use idea_workload::scenarios::{setup_scenario, setup_tweet_datasets};
 use idea_workload::{ScenarioKey, TweetGenerator, WorkloadScale};
@@ -61,7 +61,7 @@ fn main() {
         setup_tweet_datasets(engine.catalog()).unwrap();
         let sc = setup_scenario(engine.catalog(), ScenarioKey::SafetyRating, &scale, 7).unwrap();
         let records = TweetGenerator::new(42).batch(0, tweets);
-        let mut spec = FeedSpec::new("holders", "Tweets", VecAdapter::factory(records))
+        let mut spec = FeedSpec::new("holders", "Tweets", SourceFactory::records(records))
             .with_function(&sc.function)
             .with_batch_size(BATCH_1X as usize)
             .balanced(6);
@@ -80,7 +80,7 @@ fn main() {
         setup_tweet_datasets(engine.catalog()).unwrap();
         let sc = setup_scenario(engine.catalog(), ScenarioKey::SafetyRating, &scale, 7).unwrap();
         let records = TweetGenerator::new(42).batch(0, tweets);
-        let mut spec = FeedSpec::new("ft", "Tweets", VecAdapter::factory(records))
+        let mut spec = FeedSpec::new("ft", "Tweets", SourceFactory::records(records))
             .with_function(&sc.function)
             .with_batch_size(BATCH_1X as usize)
             .balanced(6);

@@ -241,15 +241,15 @@ struct LogfileResult {
 }
 
 /// One bounded feed run to EOF: either the offset-aware logfile
-/// connector (with or without interval offset commits) or the legacy
-/// in-memory `GeneratorAdapter` as the no-source-I/O baseline.
+/// connector (with or without interval offset commits) or the
+/// in-memory `GeneratorSource` as the no-source-I/O baseline.
 fn run_logfile_once(
     records: u64,
     mode: &'static str,
     log_root: Option<&std::path::Path>,
     checkpoint_interval: Option<u64>,
 ) -> LogfileResult {
-    use idea_core::{FeedSpec, GeneratorAdapter, IngestionEngine, SourceFactory};
+    use idea_core::{FeedSpec, GeneratorSource, IngestionEngine, SourceFactory};
     use idea_query::SessionConfig;
 
     const NODES: usize = 2;
@@ -267,12 +267,10 @@ fn run_logfile_once(
         Some(root) => SourceFactory::logfile(root),
         None => {
             let per_part = records / NODES as u64;
-            SourceFactory::from_adapter(Arc::new(move |partition, _partitions| {
+            SourceFactory::new(move |partition, _partitions| {
                 let base = (partition as u64) * per_part;
-                Ok(Box::new(GeneratorAdapter::new(per_part, move |i| {
-                    format!(r#"{{"id": {}}}"#, base + i)
-                })) as Box<dyn idea_core::Adapter>)
-            }))
+                Ok(GeneratorSource::new(per_part, move |i| format!(r#"{{"id": {}}}"#, base + i)))
+            })
         }
     };
     let mut spec = FeedSpec::new("bench", "Events", source)
@@ -292,7 +290,7 @@ fn run_logfile_once(
 
 /// The connector section: logfile source with offset commits off and
 /// on (the commit overhead is the pause→drain→commit→resume cycle per
-/// interval), against the `GeneratorAdapter` baseline — interleaved
+/// interval), against the `GeneratorSource` baseline — interleaved
 /// repeats, median reported, like the ingestion section.
 fn measure_logfile(records: u64, repeats: usize) -> Vec<LogfileResult> {
     let tmp = idea_storage::TempDir::new("ingest-bench-log");

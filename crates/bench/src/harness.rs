@@ -2,11 +2,9 @@
 //! scenario, feed tweets, optionally run a concurrent reference-update
 //! feed, and report throughput / refresh periods.
 
-use std::sync::Arc;
-
 use idea_core::{
-    AdapterFactory, ComputingModel, FeedSpec, IngestionEngine, IngestionReport, PipelineMode,
-    RateLimitedAdapter, VecAdapter,
+    ComputingModel, FeedSpec, GeneratorSource, IngestionEngine, IngestionReport, PipelineMode,
+    SourceFactory,
 };
 use idea_workload::scenarios::{setup_scenario, setup_tweet_datasets};
 use idea_workload::{updates, ScenarioKey, TweetGenerator, WorkloadScale};
@@ -114,7 +112,7 @@ pub fn run_enrichment(run: &EnrichmentRun) -> IngestionReport {
         .with_suspect_rate(100, run.ref_scale.suspects_names.max(run.ref_scale.sensitive_names));
     let records: Vec<String> = gen.batch(0, run.tweets);
 
-    let mut spec = FeedSpec::new("bench", "Tweets", VecAdapter::factory(records))
+    let mut spec = FeedSpec::new("bench", "Tweets", SourceFactory::records(records))
         .with_batch_size(run.batch_size as usize)
         .with_model(run.model)
         .with_mode(run.mode)
@@ -134,14 +132,13 @@ pub fn run_enrichment(run: &EnrichmentRun) -> IngestionReport {
             let scale = run.ref_scale;
             let seed = run.seed ^ 0xDEAD;
             let rate = run.update_rate;
-            let factory: AdapterFactory = Arc::new(move |_p, _n| {
+            let factory = SourceFactory::new(move |_p, _n| {
                 // Lazily generated, effectively unbounded update stream.
-                let gen = idea_core::GeneratorAdapter::new(u64::MAX, move |i| {
+                Ok(GeneratorSource::new(u64::MAX, move |i| {
                     updates::update_record(key, &scale, seed, i)
-                });
-                Ok(Box::new(RateLimitedAdapter::new(Box::new(gen), rate))
-                    as Box<dyn idea_core::Adapter>)
-            });
+                }))
+            })
+            .paced(rate);
             let upd_spec = FeedSpec::new("bench-updates", &target, factory)
                 .with_batch_size(64)
                 .with_intake_nodes(vec![0]);

@@ -1,10 +1,9 @@
 //! Offset-aware source connectors and declarative pipeline specs.
 //!
 //! The paper's adapters "obtain/receive data from an external data
-//! source" (§2.3) but the seed implementation only pulled from
-//! in-process iterators, so a restarted feed had to *re-serve the source
-//! from record zero* and skip. This crate redesigns the source side of
-//! ingestion around **seekable, partitioned sources**:
+//! source" (§2.3). Here every source is a **seekable, partitioned
+//! connector**, so a restarted feed resumes from a committed offset
+//! instead of re-serving the source from record zero:
 //!
 //! * [`SourceConnector`] — the connector trait. `read_batch` returns
 //!   records *with* per-partition offsets, `seek(offset)` resumes from a
@@ -19,6 +18,11 @@
 //!   partition, resuming at byte offsets.
 //! * [`CdcConnector`] / [`CdcLog`] — a CDC-style update stream over the
 //!   partitioned log whose records are upsert/delete envelopes.
+//! * [`SocketConnector`] — the paper's `socket_adapter`: a line-oriented
+//!   TCP server whose offsets are record counts.
+//! * [`GeneratorSource`] — an in-memory source mapping a record index
+//!   to a record (replayed lists and synthetic workloads).
+//! * [`Paced`] — caps any connector at a fixed records/second rate.
 //! * [`PipelineSpec`] — a whole pipeline (source → UDF chain →
 //!   supervision policies → target dataset) declared as data, parsed
 //!   from a JSON document or flat DDL options, and validated at load
@@ -30,12 +34,18 @@
 //! the last checkpoint left it.
 
 pub mod cdc;
+pub mod generator;
+pub mod paced;
 pub mod partlog;
+pub mod socket;
 pub mod spec;
 pub mod tail;
 
 pub use cdc::{parse_envelope, CdcConnector, CdcLog, CdcOp};
+pub use generator::GeneratorSource;
+pub use paced::Paced;
 pub use partlog::{LogConnector, PartitionedLog};
+pub use socket::SocketConnector;
 pub use spec::{
     FileFormat, PipelineSpec, PolicySpec, SourceSpec, SpecError, TargetSpec, ALLOWED_POLICY_KEYS,
 };
@@ -114,10 +124,11 @@ impl SourceBatch {
 /// [`eof`](SourceBatch::eof) (or the feed is stopped).
 ///
 /// Offsets are opaque `u64`s owned by the connector (byte positions for
-/// the file-backed connectors, record counts for the legacy adapter
-/// shim). The only contract: committing a record's
+/// the file-backed connectors, record counts for the socket and
+/// in-memory sources). The only contract: committing a record's
 /// [`offset`](SourceRecord::offset) and seeking back to it after a
-/// restart replays *exactly* the records that followed it.
+/// restart replays *exactly* the records that followed it — for a
+/// socket, whatever its next peer sends.
 pub trait SourceConnector: Send {
     /// Connects to the source. Called once, before any `seek`/`read`.
     fn open(&mut self) -> Result<()> {
@@ -137,6 +148,24 @@ pub trait SourceConnector: Send {
     /// The current position: the offset that would be committed if every
     /// record returned so far were durably handled.
     fn position(&self) -> u64;
+}
+
+impl<C: SourceConnector + ?Sized> SourceConnector for Box<C> {
+    fn open(&mut self) -> Result<()> {
+        (**self).open()
+    }
+
+    fn seek(&mut self, offset: u64) -> Result<()> {
+        (**self).seek(offset)
+    }
+
+    fn read_batch(&mut self, max: usize) -> Result<SourceBatch> {
+        (**self).read_batch(max)
+    }
+
+    fn position(&self) -> u64 {
+        (**self).position()
+    }
 }
 
 #[cfg(test)]

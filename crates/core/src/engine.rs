@@ -12,7 +12,6 @@ use idea_query::{Catalog, Session, SessionConfig, StatementResult};
 use idea_storage::MaintenanceScheduler;
 use parking_lot::Mutex;
 
-use crate::adapter::AdapterFactory;
 use crate::afm::{ActiveFeedManager, FeedHandle};
 use crate::error::IngestError;
 use crate::metrics::IngestionReport;
@@ -131,14 +130,6 @@ impl IngestionEngine {
     /// legacy `"adapter-name": "<name>"` option).
     pub fn register_source(&self, name: impl Into<String>, factory: SourceFactory) {
         self.sources.lock().insert(name.into(), factory);
-    }
-
-    /// Registers a custom legacy adapter. Shim for pre-connector code:
-    /// the factory is wrapped so its offsets are record counts and
-    /// resume skips instead of seeking. Prefer
-    /// [`register_source`](Self::register_source).
-    pub fn register_adapter(&self, name: impl Into<String>, factory: AdapterFactory) {
-        self.register_source(name, SourceFactory::from_adapter(factory));
     }
 
     /// Starts a programmatically built feed (bypasses DDL).

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! intake job (continuous)      computing job (per batch)        storage job (continuous)
-//! Adapter ─ RR-partition ─▶ [passive holder] ─ parse ─ UDF ─▶ [active holder] ─ hash ─ LSM
+//! source ─ RR-partition ─▶ [passive holder] ─ parse ─ UDF ─▶ [active holder] ─ hash ─ LSM
 //! ```
 //!
 //! The computing job is **predeployed** (compiled once, invoked per
@@ -25,15 +25,13 @@
 //!   benchmark harness): pipeline mode (static/decoupled), computing
 //!   model (per-record/per-batch/stream), batch size, intake placement,
 //!   predeployment;
-//! * [`source`] — the redesigned source API: [`SourceFactory`]
-//!   instantiates offset-aware, seekable [`SourceConnector`]s
-//!   (partitioned log, CSV/JSON file tail, CDC update stream — see
-//!   `idea-connect`),
-//!   so restarted feeds resume from committed offsets;
+//! * [`source`] — the source API: [`SourceFactory`] instantiates one
+//!   offset-aware, seekable [`SourceConnector`] per intake partition
+//!   (partitioned log, CSV/JSON file tail, CDC update stream, TCP
+//!   socket, in-memory records, optionally paced — see
+//!   `idea-connect`), so restarted feeds resume from committed offsets;
 //! * [`PipelineSpec`] (from `idea-connect`) — a whole pipeline declared
 //!   as data and started with [`IngestionEngine::start_pipeline`];
-//! * [`adapter`] — the legacy pull adapters (socket, generator, replay,
-//!   rate-limited), still usable through the connector shim.
 //!
 //! Fault tolerance (the `idea-ft` crate, re-exported here): feeds run
 //! under a [`SupervisionSpec`] with per-stage [`ErrorPolicy`]s
@@ -41,7 +39,6 @@
 //! records, checkpointed restart from per-partition intake offsets, and
 //! a deterministic [`FaultPlan`] injector for chaos testing.
 
-pub mod adapter;
 pub mod afm;
 pub mod engine;
 pub mod error;
@@ -51,15 +48,13 @@ mod pipeline;
 mod pipespec;
 pub mod source;
 
-pub use adapter::{
-    Adapter, AdapterFactory, GeneratorAdapter, RateLimitedAdapter, SocketAdapter, VecAdapter,
-};
 pub use afm::{ActiveFeedManager, FeedHandle};
 pub use engine::{ExecOutcome, IngestionEngine};
 pub use error::{Error, ErrorCode, IngestError};
 pub use idea_connect::{
-    CdcConnector, CdcLog, CdcOp, ConnectorError, FileFormat, FileTailConnector, LogConnector,
-    PartitionedLog, PipelineSpec, SourceBatch, SourceConnector, SourceRecord, SpecError,
+    CdcConnector, CdcLog, CdcOp, ConnectorError, FileFormat, FileTailConnector, GeneratorSource,
+    LogConnector, Paced, PartitionedLog, PipelineSpec, SocketConnector, SourceBatch,
+    SourceConnector, SourceRecord, SpecError,
 };
 pub use idea_ft::{
     ErrorPolicy, Fallback, Fault, FaultPlan, PartitionOffset, RestartPolicy, RetryPolicy,
@@ -68,7 +63,7 @@ pub use idea_ft::{
 pub use metrics::{FeedMetrics, IngestionReport};
 pub use models::{ComputingModel, FeedSpec, PipelineMode};
 pub use pipeline::CDC_DELETE_MARKER;
-pub use source::{AdapterConnector, SourceFactory};
+pub use source::SourceFactory;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, IngestError>;

@@ -47,9 +47,7 @@ pub struct FeedSpec {
     /// FUNCTION ...`; the declarative spec's `transform` list). Empty
     /// means pass-through.
     pub functions: Vec<String>,
-    /// Source connector instantiated on each intake node. Legacy
-    /// [`AdapterFactory`](crate::AdapterFactory)s convert via
-    /// `Into<SourceFactory>`.
+    /// Source connector instantiated on each intake node.
     pub source: SourceFactory,
     /// The source emits CDC upsert/delete envelopes instead of plain
     /// records; deletes flow through the pipeline as tombstones and are
@@ -79,16 +77,12 @@ pub struct FeedSpec {
 
 impl FeedSpec {
     /// A decoupled per-batch feed with the paper's defaults.
-    pub fn new(
-        name: impl Into<String>,
-        dataset: impl Into<String>,
-        source: impl Into<SourceFactory>,
-    ) -> Self {
+    pub fn new(name: impl Into<String>, dataset: impl Into<String>, source: SourceFactory) -> Self {
         FeedSpec {
             name: name.into(),
             dataset: dataset.into(),
             functions: Vec::new(),
-            source: source.into(),
+            source,
             update_stream: false,
             intake_nodes: vec![0],
             batch_size: 420,
@@ -260,11 +254,10 @@ impl std::fmt::Debug for FeedSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapter::VecAdapter;
     use crate::error::IngestError;
 
     fn spec() -> FeedSpec {
-        FeedSpec::new("f", "ds", VecAdapter::factory(vec![]))
+        FeedSpec::new("f", "ds", SourceFactory::records(vec![]))
     }
 
     #[test]

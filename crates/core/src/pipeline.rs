@@ -171,9 +171,9 @@ impl Operator for ConnectorSource {
         let mut connector = self.connector.take().expect("source runs once")?;
         let p = ctx.partition;
         connector.open().map_err(IngestError::from)?;
-        // Resume: seek straight to the committed source position. Legacy
-        // adapter shims skip forward; real connectors reposition without
-        // re-reading anything before the checkpoint.
+        // Resume: seek straight to the committed source position; every
+        // connector repositions without re-reading anything before the
+        // checkpoint.
         let base = shared.ckpt_base.get(p).copied().unwrap_or_default();
         connector.seek(base.position).map_err(IngestError::from)?;
         let _gate = GateGuard::join(shared.gate.clone());

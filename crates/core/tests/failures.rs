@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use idea_adm::Value;
-use idea_core::{FeedSpec, IngestionEngine, VecAdapter};
+use idea_core::{FeedSpec, IngestionEngine, SourceFactory};
 use idea_query::{Catalog, Session, StatementResult};
 
 fn run_sqlpp(catalog: &Arc<Catalog>, text: &str) -> idea_query::Result<Vec<StatementResult>> {
@@ -54,7 +54,7 @@ fn poison_records_dropped_not_fatal() {
             }),
         )
         .unwrap();
-    let spec = FeedSpec::new("flaky", "Tweets", VecAdapter::factory(tweets(70)))
+    let spec = FeedSpec::new("flaky", "Tweets", SourceFactory::records(tweets(70)))
         .with_function("flaky")
         .with_batch_size(10);
     let report = engine.start_feed(spec).unwrap().wait().unwrap();
@@ -78,7 +78,7 @@ fn always_failing_udf_still_drains_feed() {
             }),
         )
         .unwrap();
-    let spec = FeedSpec::new("af", "Tweets", VecAdapter::factory(tweets(50)))
+    let spec = FeedSpec::new("af", "Tweets", SourceFactory::records(tweets(50)))
         .with_function("alwaysfail")
         .with_batch_size(8);
     // The feed must terminate (no deadlock) and report the drops.
@@ -90,8 +90,8 @@ fn always_failing_udf_still_drains_feed() {
 #[test]
 fn missing_function_at_start_is_immediate_error() {
     let engine = setup();
-    let spec =
-        FeedSpec::new("nf", "Tweets", VecAdapter::factory(tweets(5))).with_function("doesNotExist");
+    let spec = FeedSpec::new("nf", "Tweets", SourceFactory::records(tweets(5)))
+        .with_function("doesNotExist");
     assert!(engine.start_feed(spec).is_err(), "fail fast, before any job starts");
 }
 
@@ -99,7 +99,7 @@ fn missing_function_at_start_is_immediate_error() {
 fn all_records_malformed_still_terminates() {
     let engine = setup();
     let junk: Vec<String> = (0..40).map(|i| format!("<<garbage {i}")).collect();
-    let spec = FeedSpec::new("junk", "Tweets", VecAdapter::factory(junk)).with_batch_size(8);
+    let spec = FeedSpec::new("junk", "Tweets", SourceFactory::records(junk)).with_batch_size(8);
     let report = engine.start_feed(spec).unwrap().wait().unwrap();
     assert_eq!(report.parse_errors, 40);
     assert_eq!(report.records_stored, 0);
@@ -111,12 +111,12 @@ fn two_feeds_run_concurrently_into_different_datasets() {
     run_sqlpp(engine.catalog(), "CREATE DATASET Tweets2(TweetType) PRIMARY KEY id;").unwrap();
     let a = engine
         .start_feed(
-            FeedSpec::new("fa", "Tweets", VecAdapter::factory(tweets(150))).with_batch_size(16),
+            FeedSpec::new("fa", "Tweets", SourceFactory::records(tweets(150))).with_batch_size(16),
         )
         .unwrap();
     let b = engine
         .start_feed(
-            FeedSpec::new("fb", "Tweets2", VecAdapter::factory(tweets(120))).with_batch_size(16),
+            FeedSpec::new("fb", "Tweets2", SourceFactory::records(tweets(120))).with_batch_size(16),
         )
         .unwrap();
     let ra = a.wait().unwrap();
@@ -130,7 +130,7 @@ fn two_feeds_run_concurrently_into_different_datasets() {
 #[test]
 fn stopping_twice_and_waiting_twice_is_safe() {
     let engine = setup();
-    let spec = FeedSpec::new("tw", "Tweets", VecAdapter::factory(tweets(20)));
+    let spec = FeedSpec::new("tw", "Tweets", SourceFactory::records(tweets(20)));
     let handle = engine.start_feed(spec).unwrap();
     handle.stop();
     handle.stop(); // idempotent

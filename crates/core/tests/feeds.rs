@@ -4,7 +4,10 @@
 use std::sync::Arc;
 
 use idea_adm::Value;
-use idea_core::{ComputingModel, ExecOutcome, FeedSpec, IngestionEngine, PipelineMode, VecAdapter};
+use idea_core::{
+    ComputingModel, ExecOutcome, FeedSpec, GeneratorSource, IngestionEngine, PipelineMode,
+    SourceFactory,
+};
 use idea_query::{Catalog, Session, StatementResult};
 
 fn run_sqlpp(catalog: &Arc<Catalog>, text: &str) -> idea_query::Result<Vec<StatementResult>> {
@@ -70,7 +73,7 @@ fn red_count(engine: &IngestionEngine) -> usize {
 #[test]
 fn decoupled_feed_ingests_and_enriches() {
     let engine = setup(3);
-    let spec = FeedSpec::new("TweetFeed", "Tweets", VecAdapter::factory(tweets(300)))
+    let spec = FeedSpec::new("TweetFeed", "Tweets", SourceFactory::records(tweets(300)))
         .with_function("tweetSafetyCheck")
         .with_batch_size(40);
     let handle = engine.start_feed(spec).unwrap();
@@ -97,7 +100,7 @@ fn decoupled_feed_ingests_and_enriches() {
 #[test]
 fn static_feed_matches_decoupled_output() {
     let engine = setup(2);
-    let spec = FeedSpec::new("StaticFeed", "Tweets", VecAdapter::factory(tweets(120)))
+    let spec = FeedSpec::new("StaticFeed", "Tweets", SourceFactory::records(tweets(120)))
         .with_function("tweetSafetyCheck")
         .with_mode(PipelineMode::Static);
     let handle = engine.start_feed(spec).unwrap();
@@ -111,7 +114,7 @@ fn static_feed_matches_decoupled_output() {
 fn feed_without_udf_moves_data() {
     let engine = setup(2);
     let spec =
-        FeedSpec::new("plain", "Tweets", VecAdapter::factory(tweets(100))).with_batch_size(16);
+        FeedSpec::new("plain", "Tweets", SourceFactory::records(tweets(100))).with_batch_size(16);
     let handle = engine.start_feed(spec).unwrap();
     let report = handle.wait().unwrap();
     assert_eq!(report.records_stored, 100);
@@ -124,7 +127,7 @@ fn malformed_records_counted_not_fatal() {
     let mut recs = tweets(10);
     recs.insert(3, "{not json".to_owned());
     recs.insert(7, r#"{"text": "missing id"}"#.to_owned());
-    let spec = FeedSpec::new("dirty", "Tweets", VecAdapter::factory(recs));
+    let spec = FeedSpec::new("dirty", "Tweets", SourceFactory::records(recs));
     let report = engine.start_feed(spec).unwrap().wait().unwrap();
     assert_eq!(report.records_stored, 10);
     assert_eq!(report.parse_errors, 2);
@@ -135,14 +138,7 @@ fn per_batch_model_sees_reference_updates_between_batches() {
     let engine = setup(1);
     // Slow, rate-limited feed so the update lands mid-stream.
     let records: Vec<String> = (0..60).map(|i| tweet_json(i, "DE", "der zug")).collect();
-    let factory: idea_core::AdapterFactory = {
-        let records = Arc::new(records);
-        Arc::new(move |_, _| {
-            let inner = Box::new(VecAdapter::new((*records).clone()));
-            Ok(Box::new(idea_core::RateLimitedAdapter::new(inner, 300.0))
-                as Box<dyn idea_core::Adapter>)
-        })
-    };
+    let factory = SourceFactory::records(records).paced(300.0);
     let spec = FeedSpec::new("updating", "Tweets", factory)
         .with_function("tweetSafetyCheck")
         .with_batch_size(10)
@@ -169,14 +165,7 @@ fn per_batch_model_sees_reference_updates_between_batches() {
 fn stream_model_never_sees_updates() {
     let engine = setup(1);
     let records: Vec<String> = (0..40).map(|i| tweet_json(i, "DE", "der zug")).collect();
-    let factory: idea_core::AdapterFactory = {
-        let records = Arc::new(records);
-        Arc::new(move |_, _| {
-            let inner = Box::new(VecAdapter::new((*records).clone()));
-            Ok(Box::new(idea_core::RateLimitedAdapter::new(inner, 300.0))
-                as Box<dyn idea_core::Adapter>)
-        })
-    };
+    let factory = SourceFactory::records(records).paced(300.0);
     let spec = FeedSpec::new("streamy", "Tweets", factory)
         .with_function("tweetSafetyCheck")
         .with_batch_size(10)
@@ -199,7 +188,7 @@ fn stream_model_never_sees_updates() {
 #[test]
 fn per_record_model_enriches_correctly() {
     let engine = setup(1);
-    let spec = FeedSpec::new("rec", "Tweets", VecAdapter::factory(tweets(30)))
+    let spec = FeedSpec::new("rec", "Tweets", SourceFactory::records(tweets(30)))
         .with_function("tweetSafetyCheck")
         .with_batch_size(10)
         .with_model(ComputingModel::PerRecord);
@@ -211,7 +200,7 @@ fn per_record_model_enriches_correctly() {
 #[test]
 fn no_predeploy_ablation_still_correct() {
     let engine = setup(2);
-    let spec = FeedSpec::new("nopredeploy", "Tweets", VecAdapter::factory(tweets(100)))
+    let spec = FeedSpec::new("nopredeploy", "Tweets", SourceFactory::records(tweets(100)))
         .with_function("tweetSafetyCheck")
         .with_batch_size(20)
         .with_predeploy(false);
@@ -223,7 +212,7 @@ fn no_predeploy_ablation_still_correct() {
 #[test]
 fn balanced_intake_uses_all_nodes() {
     let engine = setup(3);
-    let spec = FeedSpec::new("balanced", "Tweets", VecAdapter::factory(tweets(90)))
+    let spec = FeedSpec::new("balanced", "Tweets", SourceFactory::records(tweets(90)))
         .balanced(3)
         .with_batch_size(10);
     let report = engine.start_feed(spec).unwrap().wait().unwrap();
@@ -233,7 +222,7 @@ fn balanced_intake_uses_all_nodes() {
 #[test]
 fn duplicate_feed_name_rejected_and_cleaned_up() {
     let engine = setup(1);
-    let spec = FeedSpec::new("dup", "Tweets", VecAdapter::factory(tweets(5)));
+    let spec = FeedSpec::new("dup", "Tweets", SourceFactory::records(tweets(5)));
     let h = engine.start_feed(spec.clone()).unwrap();
     assert!(engine.start_feed(spec.clone()).is_err());
     h.wait().unwrap();
@@ -246,9 +235,10 @@ fn duplicate_feed_name_rejected_and_cleaned_up() {
 #[test]
 fn unknown_dataset_or_function_fails_fast() {
     let engine = setup(1);
-    let bad_ds = FeedSpec::new("f1", "Nope", VecAdapter::factory(vec![]));
+    let bad_ds = FeedSpec::new("f1", "Nope", SourceFactory::records(vec![]));
     assert!(engine.start_feed(bad_ds).is_err());
-    let bad_fn = FeedSpec::new("f2", "Tweets", VecAdapter::factory(vec![])).with_function("nope");
+    let bad_fn =
+        FeedSpec::new("f2", "Tweets", SourceFactory::records(vec![])).with_function("nope");
     assert!(engine.start_feed(bad_fn).is_err());
 }
 
@@ -306,10 +296,75 @@ fn feed_ddl_via_engine_with_socket_adapter() {
     assert_eq!(red_count(&engine), 20);
 }
 
+/// A free loopback address (bind port 0, then release it).
+fn free_addr() -> std::net::SocketAddr {
+    std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap()
+}
+
+/// Declares, connects and starts a socket feed on `addr` via DDL.
+fn start_socket_feed(engine: &IngestionEngine, name: &str, addr: std::net::SocketAddr) {
+    engine
+        .run_sqlpp(&format!(
+            r#"CREATE FEED {name} WITH {{
+                 "adapter-name": "socket_adapter", "sockets": "{addr}", "format": "JSON"
+               }};
+               CONNECT FEED {name} TO DATASET Tweets;
+               START FEED {name};"#
+        ))
+        .unwrap();
+}
+
+/// Runs `STOP FEED name` and fails — rather than hangs — unless it
+/// returns within 2 s.
+fn stop_within_2s(engine: &Arc<IngestionEngine>, name: &str) -> idea_core::IngestionReport {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (engine, stmt) = (engine.clone(), format!("STOP FEED {name};"));
+    let stopper = std::thread::spawn(move || {
+        let _ = tx.send(engine.run_sqlpp(&stmt).map(|mut outcomes| outcomes.pop()));
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(2)) {
+        Ok(Ok(Some(ExecOutcome::FeedStopped(report)))) => {
+            stopper.join().unwrap();
+            report
+        }
+        Ok(other) => panic!("STOP FEED {name}: unexpected outcome {other:?}"),
+        Err(_) => panic!("STOP FEED {name} did not return within 2 s"),
+    }
+}
+
+#[test]
+fn stop_feed_returns_promptly_on_an_idle_socket() {
+    let engine = setup(1);
+
+    // No peer ever connects.
+    start_socket_feed(&engine, "Unheard", free_addr());
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    assert_eq!(stop_within_2s(&engine, "Unheard").records_stored, 0);
+
+    // A peer connects, sends one record, then sits idle.
+    let addr = free_addr();
+    start_socket_feed(&engine, "Idle", addr);
+    let mut peer = loop {
+        match std::net::TcpStream::connect(addr) {
+            Ok(s) => break s,
+            Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
+        }
+    };
+    use std::io::Write;
+    writeln!(peer, r#"{{"id": 1, "text": "hi", "country": "US"}}"#).unwrap();
+    let ds = engine.catalog().dataset("Tweets").unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while ds.is_empty() && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert_eq!(stop_within_2s(&engine, "Idle").records_stored, 1);
+    drop(peer);
+}
+
 #[test]
 fn enriched_records_are_queryable_with_analytics() {
     let engine = setup(2);
-    let spec = FeedSpec::new("an", "Tweets", VecAdapter::factory(tweets(60)))
+    let spec = FeedSpec::new("an", "Tweets", SourceFactory::records(tweets(60)))
         .with_function("tweetSafetyCheck")
         .with_batch_size(15);
     engine.start_feed(spec).unwrap().wait().unwrap();
@@ -333,14 +388,12 @@ fn enriched_records_are_queryable_with_analytics() {
 fn stop_cancels_pending_input_promptly() {
     let engine = setup(1);
     // An effectively infinite feed: stopping is the only way it ends.
-    let factory: idea_core::AdapterFactory = Arc::new(|_, _| {
-        Ok(Box::new(idea_core::RateLimitedAdapter::new(
-            Box::new(idea_core::GeneratorAdapter::new(u64::MAX, |i| {
-                format!(r#"{{"id": {i}, "text": "x", "country": "US"}}"#)
-            })),
-            500.0,
-        )) as Box<dyn idea_core::Adapter>)
-    });
+    let factory = SourceFactory::new(|_, _| {
+        Ok(GeneratorSource::new(u64::MAX, |i| {
+            format!(r#"{{"id": {i}, "text": "x", "country": "US"}}"#)
+        }))
+    })
+    .paced(500.0);
     let spec = FeedSpec::new("endless", "Tweets", factory).with_batch_size(16);
     let handle = engine.start_feed(spec).unwrap();
     std::thread::sleep(std::time::Duration::from_millis(100));
@@ -354,7 +407,7 @@ fn stop_cancels_pending_input_promptly() {
 #[test]
 fn refresh_period_recorded() {
     let engine = setup(1);
-    let spec = FeedSpec::new("t", "Tweets", VecAdapter::factory(tweets(100)))
+    let spec = FeedSpec::new("t", "Tweets", SourceFactory::records(tweets(100)))
         .with_function("tweetSafetyCheck")
         .with_batch_size(10);
     let report = engine.start_feed(spec).unwrap().wait().unwrap();

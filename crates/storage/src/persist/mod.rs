@@ -44,10 +44,9 @@ use crate::error::StorageError;
 
 /// On-disk layout for sealed components, selected per dataset via
 /// `WITH {"layout": ...}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ComponentLayout {
     /// Row-major entry blocks (the original `"IDACMP1"` format).
-    #[default]
     Row,
     /// Column-major typed pages (`"IDACOL1"`): flush/merge infer a
     /// per-page schema and store typed vectors vectorized scans slice

@@ -273,7 +273,7 @@ fn build_range_tree(
         durability: DurabilityConfig {
             fsync: FsyncPolicy::Never,
             block_bytes: 512,
-            layout: layout.unwrap_or_default(),
+            layout: layout.unwrap_or(ComponentLayout::Row),
             ..Default::default()
         },
     };

@@ -7,20 +7,14 @@
 //!
 //! Run with: `cargo run --example live_reference_updates`
 
-use std::sync::Arc;
-
 use idea::prelude::*;
 
 fn tweet(id: i64) -> String {
     format!(r#"{{"id": {id}, "text": "the train is leaving", "country": "DE"}}"#)
 }
 
-fn slow_feed(n: i64, per_second: f64) -> AdapterFactory {
-    let records: Arc<Vec<String>> = Arc::new((0..n).map(tweet).collect());
-    Arc::new(move |_, _| {
-        let inner = Box::new(VecAdapter::new((*records).clone()));
-        Ok(Box::new(RateLimitedAdapter::new(inner, per_second)) as Box<dyn Adapter>)
-    })
+fn slow_feed(n: i64, per_second: f64) -> SourceFactory {
+    SourceFactory::records((0..n).map(tweet).collect()).paced(per_second)
 }
 
 fn run(engine: &IngestionEngine, name: &str, model: ComputingModel) -> (u64, usize) {

@@ -27,7 +27,7 @@ fn main() {
     // DDL equivalent is:
     //   CONNECT FEED TweetFeed TO DATASET Tweets APPLY FUNCTION tweetSafetyCheck;
     let tweets = TweetGenerator::new(1).batch(0, 1_000);
-    let spec = FeedSpec::new("TweetFeed", "Tweets", VecAdapter::factory(tweets))
+    let spec = FeedSpec::new("TweetFeed", "Tweets", SourceFactory::records(tweets))
         .with_function(&scenario.function)
         .with_batch_size(100);
     let handle = engine.start_feed(spec).expect("start feed");

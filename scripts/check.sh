@@ -45,6 +45,9 @@ run cargo test --offline -q -p idea-query --test build_reuse
 # larger than the intake holder's capacity.
 run cargo test --offline -q --test full_pipeline trickle_feed_is_readable_before_a_batch_fills
 run cargo test --offline -q --test full_pipeline backlogged_batches_fill_past_holder_capacity
+# Socket sources poll: STOP FEED must return promptly whether no peer
+# ever connected or a connected peer sits idle.
+run cargo test --offline -q -p idea-core --test feeds stop_feed_returns_promptly_on_an_idle_socket
 # Serving latency: sequential tiny queries over loopback must not pay a
 # Nagle/delayed-ACK stall (~40 ms each) per response.
 run cargo test --offline -q -p idea-serve --test server tiny_queries_answer_without_a_nagle_stall
@@ -54,6 +57,10 @@ run cargo test --offline -q -p idea-serve --test server tiny_queries_answer_with
 run cargo test --offline -q --test pipeline_spec
 run cargo test --offline -q --test connector_resume
 run cargo run --offline --release --example pipeline_spec
+# The quickstart and the live-update demo run on the in-memory and paced
+# sources end to end.
+run cargo run --offline --release --example quickstart
+run cargo run --offline --release --example live_reference_updates
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo fmt --check
 # Public-API docs must build clean: broken intra-doc links or missing

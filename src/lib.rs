@@ -15,7 +15,7 @@
 //! * [`ingestion`] — the paper's contribution: data feeds with
 //!   per-batch-refreshed enrichment UDFs;
 //! * [`connect`] — offset-aware source connectors (partitioned log,
-//!   file tail, CDC update stream) and the declarative
+//!   file tail, CDC update stream, TCP socket, in-memory, paced) and the declarative
 //!   [`PipelineSpec`](prelude::PipelineSpec) they are driven from;
 //! * [`obs`] — the unified observability layer (metrics registry,
 //!   snapshots, ADM rendering);
@@ -56,12 +56,11 @@ pub use idea_workload as workload;
 pub mod prelude {
     pub use idea_adm::{Datatype, Value};
     pub use idea_core::{
-        ActiveFeedManager, Adapter, AdapterConnector, AdapterFactory, CdcConnector, CdcLog, CdcOp,
-        ComputingModel, ConnectorError, Error, ErrorCode, ExecOutcome, FeedHandle, FeedSpec,
-        FileFormat, FileTailConnector, GeneratorAdapter, IngestError, IngestionEngine,
-        IngestionReport, LogConnector, PartitionedLog, PipelineMode, PipelineSpec,
-        RateLimitedAdapter, SocketAdapter, SourceBatch, SourceConnector, SourceFactory,
-        SourceRecord, SpecError, VecAdapter, CDC_DELETE_MARKER,
+        ActiveFeedManager, CdcConnector, CdcLog, CdcOp, ComputingModel, ConnectorError, Error,
+        ErrorCode, ExecOutcome, FeedHandle, FeedSpec, FileFormat, FileTailConnector,
+        GeneratorSource, IngestError, IngestionEngine, IngestionReport, LogConnector, Paced,
+        PartitionedLog, PipelineMode, PipelineSpec, SocketConnector, SourceBatch, SourceConnector,
+        SourceFactory, SourceRecord, SpecError, CDC_DELETE_MARKER,
     };
     pub use idea_ft::{
         ErrorPolicy, Fallback, Fault, FaultPlan, PartitionOffset, RestartPolicy, RetryPolicy,

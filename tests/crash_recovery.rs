@@ -101,7 +101,7 @@ fn crash_child() {
 
     let records: Vec<String> =
         (0..TOTAL).map(|i| format!(r#"{{"id": {i}, "text": "t{i}"}}"#)).collect();
-    let mut spec = FeedSpec::new(FEED, "Events", VecAdapter::factory(records))
+    let mut spec = FeedSpec::new(FEED, "Events", SourceFactory::records(records))
         .with_function("enrich")
         .with_batch_size(64)
         .with_intake_nodes((0..INTAKES).collect());
@@ -222,7 +222,7 @@ fn kill_nine_recovers(layout: &str) {
 
     // Every committed record recovered: the persisted checkpoint's
     // committed offsets are a durable promise — record k of intake
-    // partition p is global id `k * INTAKES + p` (VecAdapter::factory
+    // partition p is global id `k * INTAKES + p` (SourceFactory::records
     // splits round-robin).
     let ckpt = CheckpointStore::persistent(
         INTAKES,

@@ -7,12 +7,18 @@
 //! `stored = generated - dead-lettered` at the end.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use idea::adm::Value;
+use idea::ft::CheckpointStore;
 use idea::prelude::*;
+use idea::storage::TempDir;
 
 fn setup(nodes: usize) -> Arc<IngestionEngine> {
-    let engine = IngestionEngine::with_nodes(nodes);
+    with_tweets(IngestionEngine::with_nodes(nodes))
+}
+
+fn with_tweets(engine: Arc<IngestionEngine>) -> Arc<IngestionEngine> {
     engine
         .new_session(SessionConfig::new())
         .run_script(
@@ -45,24 +51,13 @@ fn register_identity(engine: &IngestionEngine, name: &str) {
         .unwrap();
 }
 
-/// Round-robin record split per intake partition, rate-limited so the
-/// feed spans many computing batches.
-fn slow_factory(records: Vec<String>, per_second: f64) -> AdapterFactory {
-    let records = Arc::new(records);
-    Arc::new(move |p, n| {
-        let mine: Vec<String> = records.iter().skip(p).step_by(n).cloned().collect();
-        Ok(Box::new(RateLimitedAdapter::new(Box::new(VecAdapter::new(mine)), per_second))
-            as Box<dyn Adapter>)
-    })
-}
-
 #[test]
 fn poison_records_land_in_queryable_dead_letter_dataset() {
     let engine = setup(1);
     let records: Vec<String> = (0..100).map(tweet).collect();
     let plan = FaultPlan::seeded(11).poison_record(0, 10).poison_record(0, 20);
     let sup = SupervisionSpec { parse: ErrorPolicy::SkipToDeadLetter, ..Default::default() };
-    let spec = FeedSpec::new("pf", "Tweets", VecAdapter::factory(records))
+    let spec = FeedSpec::new("pf", "Tweets", SourceFactory::records(records))
         .with_batch_size(16)
         .with_supervision(sup)
         .with_fault_plan(plan);
@@ -99,7 +94,7 @@ fn udf_retry_then_succeed_preserves_totals() {
         ..Default::default()
     };
     let records: Vec<String> = (0..80).map(tweet).collect();
-    let spec = FeedSpec::new("rf", "Tweets", VecAdapter::factory(records))
+    let spec = FeedSpec::new("rf", "Tweets", SourceFactory::records(records))
         .with_function("ident")
         .with_batch_size(10)
         .with_supervision(sup)
@@ -120,7 +115,8 @@ fn kill_node_mid_feed_stores_every_record_exactly_once() {
     let plan = FaultPlan::seeded(5).kill_node(2, 2);
     let mut sup = SupervisionSpec { checkpoint_interval: Some(1), ..Default::default() };
     sup.restart.max_restarts = 2;
-    let spec = FeedSpec::new("kf", "Tweets", slow_factory(records, 400.0))
+    // Paced so the feed spans many computing batches.
+    let spec = FeedSpec::new("kf", "Tweets", SourceFactory::records(records).paced(400.0))
         .with_batch_size(25)
         .with_intake_nodes(vec![0, 1])
         .with_supervision(sup)
@@ -153,6 +149,96 @@ fn socket_bind_failure_surfaces_through_wait() {
     let err = engine.stop_feed("bindfail").unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("cannot bind"), "bind failure surfaces in wait(): {msg}");
+}
+
+/// The committed source position of a one-partition feed's persisted
+/// checkpoint under `root`.
+fn committed_position(root: &std::path::Path, feed: &str) -> u64 {
+    let path = root.join("checkpoints").join(format!("{feed}.ckpt"));
+    CheckpointStore::persistent(1, path).committed_offsets()[0].position
+}
+
+/// Connects to `addr` (retrying until the feed has bound it), sends one
+/// line per record, then closes the connection.
+fn send_lines(addr: std::net::SocketAddr, records: impl Iterator<Item = String>) {
+    use std::io::Write;
+    let mut peer = loop {
+        match std::net::TcpStream::connect(addr) {
+            Ok(s) => break s,
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        }
+    };
+    for r in records {
+        writeln!(peer, "{r}").unwrap();
+    }
+}
+
+/// A socket cannot rewind: a restarted socket feed resumes at its
+/// committed count and keeps everything the *new* peer sends, instead
+/// of discarding that many of its first lines.
+#[test]
+fn restarted_socket_feed_keeps_the_new_peers_first_lines() {
+    let tmp = TempDir::new("socket-restart");
+    let engine = with_tweets(IngestionEngine::with_storage_root(1, tmp.path()).unwrap());
+    let addr = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+    let spec = || {
+        let mut spec =
+            FeedSpec::new("sock", "Tweets", SourceFactory::socket(vec![addr.to_string()]));
+        spec.supervision.checkpoint_interval = Some(1);
+        spec
+    };
+
+    let handle = engine.start_feed(spec()).unwrap();
+    send_lines(addr, (0..40).map(tweet));
+    assert_eq!(handle.wait().unwrap().records_stored, 40);
+    let committed = committed_position(tmp.path(), "sock");
+    assert!(committed > 0, "the first run committed a checkpoint");
+
+    // Same feed, new peer: all of its lines are new records.
+    let handle = engine.start_feed(spec()).unwrap();
+    send_lines(addr, (100..110).map(tweet));
+    assert_eq!(handle.wait().unwrap().records_stored, 10, "resumed after {committed}");
+    assert_eq!(engine.catalog().dataset("Tweets").unwrap().len(), 50);
+}
+
+/// Pacing delays reads, not resume: a paced feed restarted from a
+/// committed checkpoint emits its next record at once instead of first
+/// replaying the committed prefix at the paced rate.
+#[test]
+fn restarted_paced_feed_resumes_without_replaying_its_prefix() {
+    let tmp = TempDir::new("paced-restart");
+    let engine = with_tweets(IngestionEngine::with_storage_root(1, tmp.path()).unwrap());
+    let records: Vec<String> = (0..5000).map(tweet).collect();
+    let spec = |rate| {
+        let source = SourceFactory::records(records.clone()).paced(rate);
+        let mut spec = FeedSpec::new("paced", "Tweets", source);
+        spec.supervision.checkpoint_interval = Some(1);
+        spec
+    };
+    let ds = engine.catalog().dataset("Tweets").unwrap();
+
+    // A fast run, stopped part-way.
+    engine.start_feed(spec(2000.0)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while ds.len() < 200 {
+        assert!(Instant::now() < deadline, "first run stored only {}", ds.len());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    engine.stop_feed("paced").unwrap();
+    let committed = committed_position(tmp.path(), "paced");
+    assert!(committed >= 10, "committed {committed}");
+
+    // Restarted at 1 record/s, replaying the prefix would take at
+    // least `committed` seconds.
+    let t0 = Instant::now();
+    let handle = engine.start_feed(spec(1.0)).unwrap();
+    while handle.metrics().records_ingested.get() == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(5), "no record within 5 s of the restart");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    engine.stop_feed("paced").unwrap();
+    let next = Value::Int(committed as i64);
+    assert!(ds.get(&next).unwrap().is_some(), "resumed at record {committed}");
 }
 
 /// The acceptance scenario: a 6-node feed with three intake partitions
@@ -189,7 +275,8 @@ fn chaos_six_node_feed_survives_scripted_faults() {
     };
     sup.restart.max_restarts = 3;
 
-    let spec = FeedSpec::new("chaos", "Tweets", slow_factory(records, 300.0))
+    // Paced so the feed spans many computing batches.
+    let spec = FeedSpec::new("chaos", "Tweets", SourceFactory::records(records).paced(300.0))
         .with_function("chaos_ident")
         .with_batch_size(30)
         .with_intake_nodes(vec![0, 1, 2])
@@ -245,7 +332,7 @@ fn same_seed_gives_identical_fault_outcomes() {
         let records: Vec<String> = (0..120).map(tweet).collect();
         let plan = FaultPlan::seeded(99).poison_record(0, 7).poison_record(1, 9);
         let sup = SupervisionSpec { parse: ErrorPolicy::SkipToDeadLetter, ..Default::default() };
-        let spec = FeedSpec::new("det", "Tweets", VecAdapter::factory(records))
+        let spec = FeedSpec::new("det", "Tweets", SourceFactory::records(records))
             .with_batch_size(20)
             .with_intake_nodes(vec![0, 1])
             .with_supervision(sup)

@@ -5,10 +5,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use idea::adm::Value;
-use idea::ingestion::{
-    Adapter, AdapterFactory, ComputingModel, FeedSpec, IngestionEngine, PipelineMode,
-    RateLimitedAdapter, VecAdapter,
-};
+use idea::ingestion::{ComputingModel, FeedSpec, IngestionEngine, PipelineMode, SourceFactory};
 use idea::query::SessionConfig;
 use idea::workload::scenarios::{setup_scenario, setup_tweet_datasets};
 use idea::workload::{ScenarioKey, TweetGenerator, WorkloadScale};
@@ -27,7 +24,7 @@ fn feed_tweets(
     batch: usize,
 ) -> idea::ingestion::IngestionReport {
     let tweets = TweetGenerator::new(5).batch(0, n);
-    let spec = FeedSpec::new("it", "Tweets", VecAdapter::factory(tweets))
+    let spec = FeedSpec::new("it", "Tweets", SourceFactory::records(tweets))
         .with_function(function)
         .with_batch_size(batch)
         .balanced(engine.cluster().node_count());
@@ -88,7 +85,7 @@ fn per_record_and_per_batch_agree_on_static_reference_data() {
     for model in [ComputingModel::PerRecord, ComputingModel::PerBatch, ComputingModel::Stream] {
         let (engine, function) = engine_with(ScenarioKey::SafetyCheck, 2);
         let tweets = TweetGenerator::new(5).batch(0, 80);
-        let spec = FeedSpec::new("m", "Tweets", VecAdapter::factory(tweets))
+        let spec = FeedSpec::new("m", "Tweets", SourceFactory::records(tweets))
             .with_function(&function)
             .with_batch_size(16)
             .with_model(model);
@@ -114,7 +111,7 @@ fn predeploy_ablation_same_results_fewer_compilations() {
     let run = |predeploy: bool| {
         let (engine, function) = engine_with(ScenarioKey::SafetyRating, 2);
         let tweets = TweetGenerator::new(5).batch(0, 100);
-        let spec = FeedSpec::new("p", "Tweets", VecAdapter::factory(tweets))
+        let spec = FeedSpec::new("p", "Tweets", SourceFactory::records(tweets))
             .with_function(&function)
             .with_batch_size(10)
             .with_predeploy(predeploy);
@@ -135,7 +132,7 @@ fn static_and_decoupled_store_identical_enrichment() {
     let run = |mode: PipelineMode| -> Vec<(i64, String)> {
         let (engine, function) = engine_with(ScenarioKey::SafetyRating, 2);
         let tweets = TweetGenerator::new(5).batch(0, 60);
-        let spec = FeedSpec::new("s", "Tweets", VecAdapter::factory(tweets))
+        let spec = FeedSpec::new("s", "Tweets", SourceFactory::records(tweets))
             .with_function(&function)
             .with_batch_size(16)
             .with_mode(mode);
@@ -185,11 +182,8 @@ fn facade_reexports_are_usable() {
 fn trickle_feed_is_readable_before_a_batch_fills() {
     let (engine, function) = engine_with(ScenarioKey::SafetyRating, 2);
     let n = 400;
-    let tweets = VecAdapter::factory(TweetGenerator::new(5).batch(0, n));
     // 100 records/s per intake partition, 200 records/s in all.
-    let factory: AdapterFactory = Arc::new(move |p, parts| {
-        Ok(Box::new(RateLimitedAdapter::new(tweets(p, parts)?, 100.0)) as Box<dyn Adapter>)
-    });
+    let factory = SourceFactory::records(TweetGenerator::new(5).batch(0, n)).paced(100.0);
     let spec = FeedSpec::new("trickle", "Tweets", factory)
         .with_function(&function)
         .with_batch_size(420)
@@ -220,11 +214,14 @@ fn trickle_feed_is_readable_before_a_batch_fills() {
 fn backlogged_batches_fill_past_holder_capacity() {
     let (engine, function) = engine_with(ScenarioKey::SafetyRating, 2);
     let (n, batch) = (4096u64, 256usize);
-    let mut spec =
-        FeedSpec::new("backlog", "Tweets", VecAdapter::factory(TweetGenerator::new(5).batch(0, n)))
-            .with_function(&function)
-            .with_batch_size(batch)
-            .balanced(2);
+    let mut spec = FeedSpec::new(
+        "backlog",
+        "Tweets",
+        SourceFactory::records(TweetGenerator::new(5).batch(0, n)),
+    )
+    .with_function(&function)
+    .with_batch_size(batch)
+    .balanced(2);
     spec.holder_capacity = 4;
     spec.frame_capacity = 16;
     let report = engine.start_feed(spec).unwrap().wait().unwrap();

@@ -16,7 +16,7 @@ fn run_feed(nodes: usize, n: u64, batch: usize) -> (Arc<IngestionEngine>, Ingest
     let sc = setup_scenario(engine.catalog(), ScenarioKey::SafetyCheck, &WorkloadScale::tiny(), 7)
         .unwrap();
     let tweets = TweetGenerator::new(5).batch(0, n);
-    let spec = FeedSpec::new("obs", "Tweets", VecAdapter::factory(tweets))
+    let spec = FeedSpec::new("obs", "Tweets", SourceFactory::records(tweets))
         .with_function(&sc.function)
         .with_batch_size(batch);
     let report = engine.start_feed(spec).unwrap().wait().unwrap();
@@ -117,7 +117,7 @@ fn restarted_feed_gets_fresh_counters() {
         .unwrap();
     for _ in 0..2 {
         let tweets = TweetGenerator::new(5).batch(0, 40);
-        let spec = FeedSpec::new("again", "Tweets", VecAdapter::factory(tweets))
+        let spec = FeedSpec::new("again", "Tweets", SourceFactory::records(tweets))
             .with_function(&sc.function)
             .with_batch_size(10);
         engine.start_feed(spec).unwrap().wait().unwrap();
